@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-all servebench selectbench shardbench warmbench segmentbench check chaos crashchaos report examples fuzz lint lint-selfcheck lint-perf ci clean
+.PHONY: all build test race bench-all perfbench check chaos crashchaos report examples fuzz lint lint-selfcheck lint-perf ci clean
 
 all: build test
 
@@ -15,7 +15,7 @@ race:
 	go test -race ./...
 
 # Vet, catlint, plus the race-checked hot packages: the categorizer's worker
-# pool, the relation's column caches and conjunct-bitmap cache, and the
+# pool, the relation's column snapshots and conjunct-bitmap cache, and the
 # serving path (singleflight tree cache, snapshot-swapped workload stats,
 # bounded session table, admission limiter, fault injector).
 check: lint
@@ -77,85 +77,15 @@ crashchaos:
 		-run 'TestCrashChaos|TestRecovery|TestScaleLazySelect|Fuzz' \
 		./internal/relation/durable
 
-# The categorizer/columnar benchmarks, recorded as BENCH_categorize.json
-# (testdata/bench_seed.txt holds the pre-columnar baseline for the ratios).
-bench:
-	go test -run='^$$' -bench=. -benchmem -count=5 ./internal/category ./internal/relation \
-		| tee bench_output.txt \
-		| go run ./cmd/benchjson -baseline testdata/bench_seed.txt \
-		  -note "columnar projections + dictionary-coded partitioning vs row-wise seed" \
-		  -o BENCH_categorize.json
-	@echo wrote BENCH_categorize.json
-
 # Every benchmark in the repo (one per table/figure of the paper; see
 # EXPERIMENTS.md).
 bench-all:
 	go test -bench=. -benchmem ./...
 
-# The serving-path numbers, recorded as BENCH_serve.json: httptest endpoint
-# benchmarks (per-request cost, cached vs uncached) plus cmd/catload's
-# 8-client load run at paper scale (20k rows) with the cold/warm latency
-# split. Both emit go-bench-format lines, so benchjson folds them together.
-servebench:
-	{ go test -run='^$$' -bench='BenchmarkQueryEndpoint' -count=3 ./internal/server ; \
-	  go run ./cmd/catload -inproc -bench -rows 20000 -queries 10000 -n 400 -c 8 -mix 16 ; } \
-		| tee servebench_output.txt \
-		| go run ./cmd/benchjson \
-		  -note "singleflight tree cache + snapshot stats: httptest endpoint benchmarks and catload 8-client run, rows=20000" \
-		  -o BENCH_serve.json
-	@echo wrote BENCH_serve.json
-
-# The selection-engine numbers, recorded as BENCH_select.json: warm
-# (conjunct-cache hit), indexed, single-conjunct, and cold (cache dropped per
-# iteration) Select at paper scale, against the pre-vectorization row-wise
-# baseline in testdata/select_seed.txt.
-selectbench:
-	go test -run='^$$' -bench='BenchmarkSelectQuery' -benchmem -count=5 ./internal/relation \
-		| tee selectbench_output.txt \
-		| go run ./cmd/benchjson -baseline testdata/select_seed.txt \
-		  -note "vectorized bitmap selection + conjunct-bitmap cache vs row-wise seed, rows=20000" \
-		  -o BENCH_select.json
-	@echo wrote BENCH_select.json
-
-# The shard-parallel numbers, recorded as BENCH_shard.json: the
-# BenchmarkCategorizeSharded shards=1,2,4,8 scaling curve plus a fresh
-# BenchmarkCategorize run, then `benchjson -diff` folds the ratios against
-# the recorded BENCH_categorize.json into the document's note — the shards=1
-# no-regression check (DESIGN.md §12).
-shardbench:
-	go test -run='^$$' -bench='^BenchmarkCategorize(Sharded)?$$' -benchmem -count=5 ./internal/category \
-		| tee shardbench_output.txt \
-		| go run ./cmd/benchjson \
-		  -note "shard-parallel categorization, rows=20000, shards=1,2,4,8 (DESIGN.md §12)" \
-		  -o BENCH_shard.json
-	go run ./cmd/benchjson -diff -o BENCH_shard.json BENCH_categorize.json BENCH_shard.json
-	@echo wrote BENCH_shard.json
-
-# The segmented-storage numbers, recorded as BENCH_segment.json: steady-state
-# per-row Append cost at growing preloads, the append-then-read cost of the
-# incremental maintenance path against the replayed drop-everything design on
-# a preloaded 100k relation, and zone-map-pruned vs structurally-unpruned
-# cold Select at paper scale (1.7M rows; DESIGN.md §14).
-segmentbench:
-	go test -run='^$$' -bench='^BenchmarkSegment' -benchmem -count=5 -timeout=45m ./internal/relation \
-		| tee segmentbench_output.txt \
-		| go run ./cmd/benchjson \
-		  -note "segmented columnar store: incremental append maintenance vs drop-everything baseline (rows=100000) + zone-map pruning at paper scale (rows=1700000, DESIGN.md §14)" \
-		  -o BENCH_segment.json
-	@echo wrote BENCH_segment.json
-
-# The learning-churn numbers, recorded as BENCH_warm.json: cmd/catload's
-# 3-phase warmbench (baseline, learn storm without warming, learn storm with
-# the pre-warmer) at paper scale — p50/p95 serve latency, hit counts, and
-# the repaired-vs-rebuilt tree and node counters behind them (DESIGN.md §13).
-warmbench:
-	go run ./cmd/catload -warmbench -bench -rows 20000 -queries 10000 \
-		-n 600 -mix 16 -learn-every 25 -warm-topk 16 \
-		| tee warmbench_output.txt \
-		| go run ./cmd/benchjson \
-		  -note "incremental tree repair + predictive pre-warming under a learn storm (DESIGN.md §13), rows=20000, learn-every=25" \
-		  -o BENCH_warm.json
-	@echo wrote BENCH_warm.json
+# The serving benchmark (perfbench/README.md, declared by BENCHMARK.json):
+# every workload, untraced then traced, built from this checkout.
+perfbench:
+	bash perfbench/all.sh --seed 1 --seconds 20
 
 # The full formatted evaluation report at paper scale.
 report:
@@ -177,5 +107,6 @@ fuzz:
 	go test ./internal/relation -fuzz=FuzzVectorizedSelect -fuzztime=30s
 
 clean:
-	rm -f experiments_report.txt experiments_report.json test_output.txt bench_output.txt servebench_output.txt selectbench_output.txt shardbench_output.txt warmbench_output.txt segmentbench_output.txt
+	rm -f experiments_report.txt experiments_report.json test_output.txt
+	rm -rf .bench_build
 	rm -f catlint catlint.json lint_output.txt

@@ -139,10 +139,6 @@ type Config struct {
 	// Options are the default categorizer parameters for this system's
 	// queries; zero fields take the paper's defaults (M=20, K=1, x=0.4).
 	Options Options
-	// BuildIndexes builds secondary indexes on the relation's attributes at
-	// system construction, accelerating Select for indexed conjuncts.
-	// (Appending rows afterwards drops the indexes.)
-	BuildIndexes bool
 	// Correlations enables the path-conditional probability model (§5.2's
 	// correlation refinement): exploration probabilities are estimated
 	// conditioned on the category's whole root path instead of assuming
@@ -210,11 +206,6 @@ type System struct {
 func NewSystem(rel *Relation, cfg Config) (*System, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("repro: nil relation")
-	}
-	if cfg.BuildIndexes {
-		if err := rel.BuildIndex(); err != nil {
-			return nil, fmt.Errorf("repro: %w", err)
-		}
 	}
 	var cache *treecache.Cache[served]
 	if cfg.TreeCacheEntries > 0 || cfg.TreeCacheBytes > 0 {

@@ -449,22 +449,14 @@ func BenchmarkWorkloadPreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect measures predicate evaluation over the base relation,
-// with the experiments' secondary indexes and with a plain scan.
+// BenchmarkSelect measures predicate evaluation over the base relation.
 func BenchmarkSelect(b *testing.B) {
 	env := mustEnv(b)
 	q := sqlparse.MustParse("SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA','Bellevue, WA') AND price BETWEEN 200000 AND 300000")
 	pred := q.Predicate()
-	b.Run("indexed", func(b *testing.B) {
+	b.Run("scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			env.R.Select(pred)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		plain := datagen.Dataset(datagen.DatasetConfig{Rows: env.Cfg.Rows, Seed: env.Cfg.Seed})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			plain.Select(pred)
 		}
 	})
 }
@@ -550,7 +542,7 @@ func BenchmarkCategorizeParallel(b *testing.B) {
 
 // BenchmarkCategorizeSharded sweeps the shard-parallel fan-out over a full
 // query-driven build — the end-to-end counterpart of the internal/category
-// sweep behind BENCH_shard.json.
+// sweep.
 func BenchmarkCategorizeSharded(b *testing.B) {
 	env := mustEnv(b)
 	var qw *sqlparse.Query

@@ -1,6 +1,5 @@
 // Command catload drives the categorization HTTP service under load and
-// reports latency quantiles split by cache temperature — the measurement
-// harness behind BENCH_serve.json.
+// reports latency quantiles split by cache temperature.
 //
 // Two modes:
 //
@@ -20,8 +19,8 @@
 // the tree cache), so one run yields both distributions.
 //
 // With -bench the summary is also emitted as `go test -bench`-style lines
-// (BenchmarkCatload/<label>/<metric>), which cmd/benchjson folds into a
-// JSON record — see `make servebench`.
+// (BenchmarkCatload/<label>/<metric>), so runs compare like any Go
+// benchmark output.
 package main
 
 import (
@@ -71,7 +70,7 @@ func main() {
 		warmBudget = flag.Duration("warm-budget", 0, "warmbench: wall budget per warming build (0 = 2s default)")
 		think      = flag.Duration("think", time.Millisecond, "warmbench: client think time between requests (excluded from latencies)")
 
-		bench = flag.Bool("bench", false, "also print go-bench-format lines for cmd/benchjson")
+		bench = flag.Bool("bench", false, "also print go-bench-format lines")
 	)
 	flag.Parse()
 
@@ -369,7 +368,7 @@ func (r *loadResult) print(w *os.File, label string) {
 	line("warm", r.warm)
 }
 
-// printBench renders the summary as go-bench lines for cmd/benchjson.
+// printBench renders the summary as go-bench lines.
 func (r *loadResult) printBench(w *os.File, label string) {
 	emit := func(metric string, ns float64) {
 		if ns > 0 {

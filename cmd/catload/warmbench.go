@@ -22,10 +22,9 @@ import (
 //	storm-warm   the same storm with the pre-warmer on: repairs happen in
 //	             the background, the foreground mostly hits
 //
-// Each phase emits BenchmarkWarm/<phase>/<metric> lines for cmd/benchjson
-// (see `make warmbench`), including the repaired-vs-rebuilt tree and node
-// counters, so BENCH_warm.json records both the latency effect and the
-// mechanism behind it.
+// With -bench each phase emits BenchmarkWarm/<phase>/<metric> lines,
+// including the repaired-vs-rebuilt tree and node counters, so a run records
+// both the latency effect and the mechanism behind it.
 
 type warmbenchConfig struct {
 	rows, queries int
@@ -178,7 +177,7 @@ func (r *warmbenchResult) print(w *os.File) {
 
 // printBench renders the phase as go-bench lines. Latencies are honest
 // ns/op; the counter metrics borrow the format (value in the ns/op slot) so
-// benchjson folds everything into one document.
+// one go-bench stream carries everything.
 func (r *warmbenchResult) printBench(w *os.File) {
 	emit := func(metric string, v float64) {
 		if v > 0 {

@@ -6,16 +6,12 @@ import (
 	"repro/internal/relation"
 )
 
-// allocLC builds a warmed levelContext over r: columns materialized, level
-// caches initialized — the state every partitioner sees inside the level
-// loop.
+// allocLC builds a levelContext over r with its level caches initialized —
+// the state every partitioner sees inside the level loop.
 func allocLC(t *testing.T, r *relation.Relation) *levelContext {
 	t.Helper()
 	stats := testStats(t)
 	lc := &levelContext{r: r, stats: stats, est: &Estimator{Stats: stats}, opts: Options{}.withDefaults()}
-	if err := r.BuildColumns(); err != nil {
-		t.Fatalf("BuildColumns: %v", err)
-	}
 	lc.resetLevel()
 	return lc
 }

@@ -44,8 +44,8 @@ func BenchmarkCategorizeParallel(b *testing.B) {
 
 // BenchmarkCategorizeSharded sweeps the shard-parallel fan-out on the large
 // dataset. shards=1 is the sequential no-regression baseline against
-// BENCH_categorize.json's BenchmarkCategorize/rows=20000; the 2/4/8 points
-// record the scaling curve BENCH_shard.json captures (`make shardbench`).
+// BenchmarkCategorize/rows=20000; the 2/4/8 points record the scaling
+// curve.
 func BenchmarkCategorizeSharded(b *testing.B) {
 	stats := testStats(b)
 	r := testRelation(20000)

@@ -219,9 +219,9 @@ func (t *Tree) Validate() error {
 				return false
 			}
 			seen[key] = depth
-			pred := n.Label.Predicate()
+			match := t.R.Matcher(n.Label.Predicate())
 			for _, i := range n.Tset {
-				if !pred.Matches(t.R.Schema(), t.R.Row(i)) {
+				if !match(i) {
 					verr = fmt.Errorf("category: tuple %d in %q violates its label", i, n.Label)
 					return false
 				}

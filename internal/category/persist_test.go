@@ -58,13 +58,18 @@ func TestLoadTreeRejectsWrongRelation(t *testing.T) {
 		t.Fatal("loading against a smaller relation should fail")
 	}
 	// A same-size relation with different contents: label validation fails.
-	other := testRelation(500)
-	// testRelation is deterministic; perturb one tuple the tree references.
-	row := other.Row(tree.Root.Tset[0])
-	if row[0].Str == "Bellevue, WA" {
-		row[0] = relation.StringValue("Seattle, WA")
-	} else {
-		row[0] = relation.StringValue("Bellevue, WA")
+	// Copy r, perturbing one tuple the tree references.
+	other := relation.New(r.Name, r.Schema())
+	for i := 0; i < r.Len(); i++ {
+		row := r.Row(i)
+		if i == tree.Root.Tset[0] {
+			if row[0].Str == "Bellevue, WA" {
+				row[0] = relation.StringValue("Seattle, WA")
+			} else {
+				row[0] = relation.StringValue("Bellevue, WA")
+			}
+		}
+		other.MustAppend(row)
 	}
 	if _, err := LoadTree(bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("loading against changed data should fail validation")

@@ -361,9 +361,8 @@ func AblationGreedyOptimal(env *Env, n, sampleRows int) (*GreedyOptimality, erro
 // fresh relation (same schema), so row indices run 0..n-1.
 func subRelation(env *Env, rows []int) *relation.Relation {
 	sub := relation.New(env.R.Name, env.R.Schema())
-	sub.Grow(len(rows))
-	for _, i := range rows {
-		sub.MustAppend(env.R.Row(i))
+	if err := sub.AppendPages(env.R.Gather(rows)); err != nil {
+		panic(err) // unreachable: the pages come from a relation of the same schema
 	}
 	return sub
 }

@@ -86,11 +86,6 @@ type Env struct {
 func NewEnv(cfg Config) (*Env, error) {
 	cfg = cfg.withDefaults()
 	r := datagen.Dataset(datagen.DatasetConfig{Rows: cfg.Rows, Seed: cfg.Seed})
-	// Index the attributes the experiments select on (neighborhood filters
-	// dominate the broadened queries).
-	if err := r.BuildIndex(datagen.AttrNeighborhood, datagen.AttrPrice, datagen.AttrBedrooms); err != nil {
-		return nil, err
-	}
 	sql := datagen.WorkloadSQL(datagen.WorkloadConfig{Queries: cfg.Queries, Seed: cfg.Seed + 1})
 	w, err := workload.ParseStrings(sql)
 	if err != nil {

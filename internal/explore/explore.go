@@ -203,9 +203,9 @@ func (e *Explorer) exploreAll(tree *category.Tree, n *category.Node, in *Intent,
 		// SHOWTUPLES: examine every tuple in tset(C). With fatigue, a
 		// relevant tuple in a long list may be overlooked.
 		out.TuplesExamined += n.Size()
-		pred := in.Query.Predicate()
+		match := tree.R.Matcher(in.Query.Predicate())
 		for _, i := range n.Tset {
-			if pred.Matches(tree.R.Schema(), tree.R.Row(i)) && in.recognizes(n.Size()) {
+			if match(i) && in.recognizes(n.Size()) {
 				out.RelevantFound++
 			}
 		}
@@ -236,10 +236,10 @@ func (e *Explorer) exploreOne(tree *category.Tree, n *category.Node, in *Intent,
 	if n.IsLeaf() || !in.wantsShowCat(n.SubAttr) {
 		// SHOWTUPLES: scan from the beginning until the first recognized
 		// relevant tuple.
-		pred := in.Query.Predicate()
+		match := tree.R.Matcher(in.Query.Predicate())
 		for _, i := range n.Tset {
 			out.TuplesExamined++
-			if pred.Matches(tree.R.Schema(), tree.R.Row(i)) && in.recognizes(n.Size()) {
+			if match(i) && in.recognizes(n.Size()) {
 				out.RelevantFound++
 				out.Found = true
 				return
@@ -277,10 +277,10 @@ func (e *Explorer) Few(tree *category.Tree, in *Intent, k int) Outcome {
 func (e *Explorer) exploreFew(tree *category.Tree, n *category.Node, in *Intent, k int, out *Outcome) {
 	if n.IsLeaf() || !in.wantsShowCat(n.SubAttr) {
 		// SHOWTUPLES: scan until the k-th relevant tuple overall.
-		pred := in.Query.Predicate()
+		match := tree.R.Matcher(in.Query.Predicate())
 		for _, i := range n.Tset {
 			out.TuplesExamined++
-			if pred.Matches(tree.R.Schema(), tree.R.Row(i)) && in.recognizes(n.Size()) {
+			if match(i) && in.recognizes(n.Size()) {
 				out.RelevantFound++
 				if out.RelevantFound >= k {
 					return
@@ -303,10 +303,10 @@ func (e *Explorer) exploreFew(tree *category.Tree, n *category.Node, in *Intent,
 
 // countRelevant counts tuples in tset(n) satisfying the intent.
 func (e *Explorer) countRelevant(tree *category.Tree, n *category.Node, in *Intent) int {
-	pred := in.Query.Predicate()
+	match := tree.R.Matcher(in.Query.Predicate())
 	count := 0
 	for _, i := range n.Tset {
-		if pred.Matches(tree.R.Schema(), tree.R.Row(i)) {
+		if match(i) {
 			count++
 		}
 	}
@@ -334,10 +334,10 @@ func FlatAll(tree *category.Tree, in *Intent) Outcome {
 func FlatOne(tree *category.Tree, in *Intent) Outcome {
 	e := &Explorer{}
 	out := Outcome{RelevantTotal: e.relevantTotal(tree, in)}
-	pred := in.Query.Predicate()
+	match := tree.R.Matcher(in.Query.Predicate())
 	for _, i := range tree.Root.Tset {
 		out.TuplesExamined++
-		if pred.Matches(tree.R.Schema(), tree.R.Row(i)) {
+		if match(i) {
 			out.RelevantFound++
 			out.Found = true
 			break

@@ -64,8 +64,8 @@ type Config struct {
 	// unpublished spare capacity under the relation mutex). SegFields lists
 	// the shared page-carrying fields ("Type.Field") segguard bans writing,
 	// appending to, or copying into anywhere else — a sealed segment's
-	// Codes/Dict backing is shared by every published column snapshot,
-	// conjunct bitmap, and index built over it (PR8). Reads stay free.
+	// Codes/Dict/Nums backing is shared by every published column snapshot
+	// and every Page handed out over it (PR8). Reads stay free.
 	SegPkgs   []string
 	SegFields []string
 
@@ -135,7 +135,7 @@ func DefaultConfig() *Config {
 		SnapshotTypes: []string{"AdaptiveSystem"},
 
 		SegPkgs:   []string{"internal/relation"},
-		SegFields: []string{"CatColumn.Codes", "CatColumn.Dict"},
+		SegFields: []string{"CatColumn.Codes", "CatColumn.Dict", "Page.Codes", "Page.Dict", "Page.Nums"},
 
 		FsyncPkgs: []string{
 			"repro", "internal/relation", "internal/category", "internal/workload",

@@ -65,7 +65,6 @@ func New(stats *workload.Stats, schema *relation.Schema) *Ranker {
 // occ(v)/NAttr (the QF fraction); numeric values contribute the fraction of
 // workload ranges on the attribute that contain them.
 func (r *Ranker) Score(rel *relation.Relation, row int) float64 {
-	t := rel.Row(row)
 	score := 0.0
 	for _, a := range r.attrs {
 		nAttr := r.stats.NAttr(a.name)
@@ -74,10 +73,10 @@ func (r *Ranker) Score(rel *relation.Relation, row int) float64 {
 		}
 		var qf float64
 		if a.numeric {
-			v := t[a.pos].Num
+			v := rel.Cell(row, a.pos).Num
 			qf = float64(r.stats.NOverlapRange(a.name, v, math.Nextafter(v, math.Inf(1)))) / float64(nAttr)
 		} else {
-			qf = float64(r.stats.Occ(a.name, t[a.pos].Str)) / float64(nAttr)
+			qf = float64(r.stats.Occ(a.name, rel.Cell(row, a.pos).Str)) / float64(nAttr)
 		}
 		score += a.weight * qf
 	}

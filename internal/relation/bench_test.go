@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-// BenchmarkBuildColumns measures the columnar projection build: one
-// dictionary-encoded categorical column plus two dense numeric columns.
-func BenchmarkBuildColumns(b *testing.B) {
-	for _, n := range []int{1000, 20000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			r := relationOfSize(n, 7)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.dropColumns()
-				if err := r.BuildColumns(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSortByValue measures the pair-sort that backs every numeric
 // partitioning: project, pack, pdqsort, unpack.
 func BenchmarkSortByValue(b *testing.B) {
@@ -60,26 +43,8 @@ func BenchmarkCatColumnLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkCatCandidates measures the multi-value IN lookup whose sorted
-// posting lists are combined by the pairwise merge ladder.
-func BenchmarkCatCandidates(b *testing.B) {
-	r := relationOfSize(20000, 7)
-	if err := r.BuildIndex(); err != nil {
-		b.Fatal(err)
-	}
-	p := NewIn("neighborhood", "Bellevue, WA", "Redmond, WA", "Seattle, WA")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		list, ok := r.indexes().catCandidates(p)
-		if !ok || len(list) == 0 {
-			b.Fatal("no candidates")
-		}
-	}
-}
-
-// selectBenchPred is the multi-conjunct selection the BENCH_select.json
-// record is built around: a categorical IN plus two numeric ranges over the
-// 20k-row home-listing shape.
+// selectBenchPred is a multi-conjunct selection: a categorical IN plus two
+// numeric ranges over the 20k-row home-listing shape.
 func selectBenchPred() Predicate {
 	return NewAnd(
 		NewIn("neighborhood", "Seattle, WA", "Bellevue, WA"),
@@ -88,8 +53,8 @@ func selectBenchPred() Predicate {
 	)
 }
 
-// BenchmarkSelectQuery measures Select on an unindexed relation with a
-// repeated multi-conjunct predicate (the serving path's steady state).
+// BenchmarkSelectQuery measures Select with a repeated multi-conjunct
+// predicate (the serving path's steady state).
 func BenchmarkSelectQuery(b *testing.B) {
 	b.Run("rows=20000/conjuncts=3", func(b *testing.B) {
 		r := relationOfSize(20000, 7)
@@ -113,27 +78,9 @@ func BenchmarkSelectQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkSelectQueryIndexed is BenchmarkSelectQuery over a relation with
-// secondary indexes built.
-func BenchmarkSelectQueryIndexed(b *testing.B) {
-	b.Run("rows=20000/conjuncts=3", func(b *testing.B) {
-		r := relationOfSize(20000, 7)
-		if err := r.BuildIndex(); err != nil {
-			b.Fatal(err)
-		}
-		pred := selectBenchPred()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(r.Select(pred)) == 0 {
-				b.Fatal("empty selection")
-			}
-		}
-	})
-}
-
 // BenchmarkSelectQueryCold measures the per-unique-query cost: the conjunct
 // bitmap cache is dropped every iteration, so every conjunct is evaluated
-// from scratch (columnar projections stay warm, as they do in serving).
+// from scratch over the columns.
 func BenchmarkSelectQueryCold(b *testing.B) {
 	b.Run("rows=20000/conjuncts=3", func(b *testing.B) {
 		r := relationOfSize(20000, 7)

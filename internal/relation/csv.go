@@ -140,14 +140,15 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 	if err := writeCSVRecord(bw, header); err != nil {
 		return fmt.Errorf("relation: writing CSV header: %w", err)
 	}
+	n := r.Len()
+	pages := r.Pages(0, n)
 	record := make([]string, r.schema.Len())
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		for j := range record {
+	for i := 0; i < n; i++ {
+		for j, p := range pages {
 			if r.schema.Attr(j).Type == Categorical {
-				record[j] = row[j].Str
+				record[j] = p.Dict[p.Codes[i]]
 			} else {
-				record[j] = strconv.FormatFloat(row[j].Num, 'f', -1, 64)
+				record[j] = strconv.FormatFloat(p.Nums[i], 'f', -1, 64)
 			}
 		}
 		if err := writeCSVRecord(bw, record); err != nil {

@@ -219,7 +219,6 @@ func TestCrashChaosSegmentTruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := memRelation(t, total, segRows)
 	for cut := 0; cut < len(orig); cut += 97 {
 		if err := os.WriteFile(dirFile(t, dir, seg), orig[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -243,7 +242,7 @@ func TestCrashChaosSegmentTruncationSweep(t *testing.T) {
 			if i >= segRows {
 				j = i + segRows
 			}
-			if !sameTuple(rel.Row(i), mem.Row(j)) {
+			if !sameTuple(rel.Row(i), testTuple(j)) {
 				t.Fatalf("cut=%d: surviving row %d != reference row %d", cut, i, j)
 			}
 		}

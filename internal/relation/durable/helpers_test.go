@@ -97,9 +97,10 @@ func testPredicates() []relation.Predicate {
 }
 
 // assertStoreMatches pins the full contract between st and the in-memory
-// prefix mem: identical surviving rows, identical Select answers on the
-// whole predicate battery (lazily against the store, vectorized against
-// both relations), and — when trees is true — byte-identical category
+// prefix mem of rows [0, mem.Len()): recovered rows equal to testTuple's,
+// Select answers on the whole predicate battery (lazily against the store,
+// vectorized against both relations) equal to a Predicate.Matches scan over
+// testTuple's rows, and — when trees is true — byte-identical category
 // trees.
 func assertStoreMatches(tb testing.TB, st *Store, mem *relation.Relation, trees bool) {
 	tb.Helper()
@@ -111,12 +112,20 @@ func assertStoreMatches(tb testing.TB, st *Store, mem *relation.Relation, trees 
 		tb.Fatalf("recovered %d rows, want %d", rel.Len(), mem.Len())
 	}
 	for i := 0; i < mem.Len(); i++ {
-		if !sameTuple(rel.Row(i), mem.Row(i)) {
-			tb.Fatalf("row %d: recovered %v, want %v", i, rel.Row(i), mem.Row(i))
+		if !sameTuple(rel.Row(i), testTuple(i)) {
+			tb.Fatalf("row %d: recovered %v, want %v", i, rel.Row(i), testTuple(i))
 		}
 	}
 	for pi, p := range testPredicates() {
-		want := mem.Select(p)
+		want := []int{}
+		for i := 0; i < mem.Len(); i++ {
+			if p == nil || p.Matches(mem.Schema(), testTuple(i)) {
+				want = append(want, i)
+			}
+		}
+		if got := mem.Select(p); !sameInts(got, want) {
+			tb.Fatalf("pred %d (%v): reference relation select differs from the tuple scan", pi, p)
+		}
 		lazy, err := st.Select(p)
 		if err != nil {
 			tb.Fatalf("pred %d: lazy select: %v", pi, err)

@@ -122,7 +122,6 @@ func TestRecoveryBitFlippedSegmentPage(t *testing.T) {
 		t.Fatal("corrupt column page not quarantined on map-in")
 	}
 	// Surviving rows: all but the quarantined segment's span.
-	mem := memRelation(t, n, segRows)
 	wantLen := n - segRows
 	if rel.Len() != wantLen {
 		t.Fatalf("surviving relation has %d rows, want %d", rel.Len(), wantLen)
@@ -132,7 +131,7 @@ func TestRecoveryBitFlippedSegmentPage(t *testing.T) {
 		if i >= segRows {
 			j = i + segRows // skip the quarantined span in the reference
 		}
-		if !sameTuple(rel.Row(i), mem.Row(j)) {
+		if !sameTuple(rel.Row(i), testTuple(j)) {
 			t.Fatalf("surviving row %d != reference row %d", i, j)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/relation"
 )
@@ -30,7 +29,8 @@ import (
 //
 // Dictionaries are per-segment and sorted: a spilled segment never hears
 // about the in-memory global dictionary's remaps, and the sorted value list
-// doubles as the categorical zone map. Zone maps for numeric columns record
+// doubles as the categorical zone map. A decoded column page is a
+// relation.Page, so Store.Relation appends it to a relation as it stands. Zone maps for numeric columns record
 // min/max over non-NaN values (as float bits — JSON cannot carry NaN/Inf),
 // mirroring zonemap.go's conservative semantics exactly.
 //
@@ -72,36 +72,29 @@ type segHeader struct {
 
 func segFileName(lo, hi int) string { return fmt.Sprintf("seg-%010d-%010d.seg", lo, hi) }
 
-// segColumn is one decoded column page: exactly one of nums or codes+dict.
-type segColumn struct {
-	nums  []float64
-	dict  []string
-	codes []uint32
-}
-
-func (c *segColumn) bytes() uint64 {
-	b := 8*uint64(len(c.nums)) + 4*uint64(len(c.codes))
-	for _, v := range c.dict {
+// pageBytes is the in-memory size of one decoded column page.
+func pageBytes(p relation.Page) uint64 {
+	b := 8*uint64(len(p.Nums)) + 4*uint64(len(p.Codes))
+	for _, v := range p.Dict {
 		b += uint64(len(v)) + 16
 	}
 	return b
 }
 
-// encodeSegColumns builds the column-page payloads and zone maps for rows
-// row(lo)…row(hi-1), fetched through row (so both tail buffers and tracked
-// relations can feed a spill without copying into a common shape).
-func encodeSegColumns(schema *relation.Schema, lo, hi int, row func(i int) relation.Tuple) (pages [][]byte, zones []segZone) {
+// encodeSegColumns builds the column-page payloads and zone maps for one
+// span given column-wise, one page per attribute — taken from the tracked
+// relation or the untracked tail relation alike (Store.spanPages).
+func encodeSegColumns(schema *relation.Schema, cols []relation.Page) (pages [][]byte, zones []segZone) {
 	n := schema.Len()
 	pages = make([][]byte, n)
 	zones = make([]segZone, n)
-	for a := 0; a < n; a++ {
+	var b [8]byte
+	for a, col := range cols {
 		if schema.Attr(a).Type == relation.Numeric {
-			payload := make([]byte, 0, 8*(hi-lo))
+			payload := make([]byte, 0, 8*len(col.Nums))
 			z := segZone{}
 			min, max := math.Inf(1), math.Inf(-1)
-			for i := lo; i < hi; i++ {
-				v := row(i)[a].Num
-				var b [8]byte
+			for _, v := range col.Nums {
 				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 				payload = append(payload, b[:]...)
 				if !math.IsNaN(v) {
@@ -121,45 +114,44 @@ func encodeSegColumns(schema *relation.Schema, lo, hi int, row func(i int) relat
 			pages[a], zones[a] = payload, z
 			continue
 		}
-		// Categorical: collect the span's distinct values, sort them into
-		// the local dictionary, then emit codes against it.
-		seen := make(map[string]uint32)
+		// Categorical: the span's distinct values, in the source's sorted
+		// dictionary order, form the local dictionary; codes are re-ranked
+		// against it.
+		used := make([]bool, len(col.Dict))
+		for _, c := range col.Codes {
+			used[c] = true
+		}
+		local := make([]uint32, len(col.Dict))
 		vals := make([]string, 0, 16)
-		for i := lo; i < hi; i++ {
-			s := row(i)[a].Str
-			if _, ok := seen[s]; !ok {
-				seen[s] = 0
-				vals = append(vals, s)
+		for c, v := range col.Dict {
+			if used[c] {
+				local[c] = uint32(len(vals))
+				vals = append(vals, v)
 			}
 		}
-		sort.Strings(vals)
-		for c, v := range vals {
-			seen[v] = uint32(c)
-		}
-		payload := make([]byte, 0, 4+4*(hi-lo))
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(len(vals)))
-		payload = append(payload, b[:]...)
+		payload := make([]byte, 0, 4+4*len(col.Codes))
+		binary.LittleEndian.PutUint32(b[:4], uint32(len(vals)))
+		payload = append(payload, b[:4]...)
 		for _, v := range vals {
-			binary.LittleEndian.PutUint32(b[:], uint32(len(v)))
-			payload = append(payload, b[:]...)
+			binary.LittleEndian.PutUint32(b[:4], uint32(len(v)))
+			payload = append(payload, b[:4]...)
 			payload = append(payload, v...)
 		}
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(b[:], seen[row(i)[a].Str])
-			payload = append(payload, b[:]...)
+		for _, c := range col.Codes {
+			binary.LittleEndian.PutUint32(b[:4], local[c])
+			payload = append(payload, b[:4]...)
 		}
 		pages[a], zones[a] = payload, segZone{Vals: vals}
 	}
 	return pages, zones
 }
 
-// writeSegment spills rows [lo, hi) into a new segment file and returns its
-// basename and on-disk size. The file lands via the tmp/fsync/rename/
+// writeSegment spills rows [lo, hi), given column-wise, into a new segment
+// file and returns its basename and on-disk size. The file lands via the tmp/fsync/rename/
 // fsync-dir protocol; it is durable when writeSegment returns, but invisible
 // to recovery until the manifest references it.
-func (s *Store) writeSegment(ctx context.Context, lo, hi int, row func(i int) relation.Tuple) (name string, size int64, err error) {
-	pages, zones := encodeSegColumns(s.schema, lo, hi, row)
+func (s *Store) writeSegment(ctx context.Context, lo, hi int, cols []relation.Page) (name string, size int64, err error) {
+	pages, zones := encodeSegColumns(s.schema, cols)
 	hdr := segHeader{
 		Magic:  segMagic,
 		Lo:     lo,
@@ -250,57 +242,61 @@ func errOrTorn(err error) error {
 // readSegColumn loads, checksums, and decodes one column page of a segment
 // file. hdrEnd is the header page's on-disk size (column offsets are
 // relative to it).
-func readSegColumn(path string, hdr *segHeader, hdrEnd int64, attr int, schema *relation.Schema) (*segColumn, error) {
+func readSegColumn(path string, hdr *segHeader, hdrEnd int64, attr int, schema *relation.Schema) (relation.Page, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return relation.Page{}, err
 	}
 	defer f.Close()
 	pg := hdr.Pages[attr]
 	sec := io.NewSectionReader(f, hdrEnd+pg.Off, pg.Len)
 	payload, err := readPage(sec)
 	if err != nil {
-		return nil, fmt.Errorf("column %q page: %w", schema.Attr(attr).Name, errOrTorn(err))
+		return relation.Page{}, fmt.Errorf("column %q page: %w", schema.Attr(attr).Name, errOrTorn(err))
 	}
 	rows := hdr.Hi - hdr.Lo
 	if schema.Attr(attr).Type == relation.Numeric {
 		if len(payload) != 8*rows {
-			return nil, fmt.Errorf("column %q page: %w: %d bytes for %d rows", schema.Attr(attr).Name, ErrCorrupt, len(payload), rows)
+			return relation.Page{}, fmt.Errorf("column %q page: %w: %d bytes for %d rows", schema.Attr(attr).Name, ErrCorrupt, len(payload), rows)
 		}
 		nums := make([]float64, rows)
 		for i := range nums {
 			nums[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
-		return &segColumn{nums: nums}, nil
+		return relation.Page{Nums: nums}, nil
 	}
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("column %q page: %w: short dictionary header", schema.Attr(attr).Name, ErrCorrupt)
+		return relation.Page{}, fmt.Errorf("column %q page: %w: short dictionary header", schema.Attr(attr).Name, ErrCorrupt)
 	}
 	nvals := int(binary.LittleEndian.Uint32(payload))
 	payload = payload[4:]
 	dict := make([]string, 0, nvals)
 	for i := 0; i < nvals; i++ {
 		if len(payload) < 4 {
-			return nil, fmt.Errorf("column %q page: %w: truncated dictionary", schema.Attr(attr).Name, ErrCorrupt)
+			return relation.Page{}, fmt.Errorf("column %q page: %w: truncated dictionary", schema.Attr(attr).Name, ErrCorrupt)
 		}
 		n := int(binary.LittleEndian.Uint32(payload))
 		payload = payload[4:]
 		if n > len(payload) {
-			return nil, fmt.Errorf("column %q page: %w: dictionary entry overruns page", schema.Attr(attr).Name, ErrCorrupt)
+			return relation.Page{}, fmt.Errorf("column %q page: %w: dictionary entry overruns page", schema.Attr(attr).Name, ErrCorrupt)
 		}
-		dict = append(dict, string(payload[:n]))
+		v := string(payload[:n])
+		if len(dict) > 0 && dict[len(dict)-1] >= v {
+			return relation.Page{}, fmt.Errorf("column %q page: %w: dictionary not sorted at entry %d", schema.Attr(attr).Name, ErrCorrupt, i)
+		}
+		dict = append(dict, v)
 		payload = payload[n:]
 	}
 	if len(payload) != 4*rows {
-		return nil, fmt.Errorf("column %q page: %w: %d code bytes for %d rows", schema.Attr(attr).Name, ErrCorrupt, len(payload), rows)
+		return relation.Page{}, fmt.Errorf("column %q page: %w: %d code bytes for %d rows", schema.Attr(attr).Name, ErrCorrupt, len(payload), rows)
 	}
 	codes := make([]uint32, rows)
 	for i := range codes {
 		c := binary.LittleEndian.Uint32(payload[4*i:])
 		if int(c) >= len(dict) {
-			return nil, fmt.Errorf("column %q page: %w: code %d outside dictionary of %d", schema.Attr(attr).Name, ErrCorrupt, c, len(dict))
+			return relation.Page{}, fmt.Errorf("column %q page: %w: code %d outside dictionary of %d", schema.Attr(attr).Name, ErrCorrupt, c, len(dict))
 		}
 		codes[i] = c
 	}
-	return &segColumn{dict: dict, codes: codes}, nil
+	return relation.Page{Codes: codes, Dict: dict}, nil
 }

@@ -100,7 +100,7 @@ type diskSegment struct {
 	//lint:guardedby mu
 	hdrEnd int64
 	//lint:guardedby mu
-	cols []*segColumn // by attribute index; nil until loaded
+	cols []*relation.Page // by attribute index; nil until loaded
 	//lint:guardedby mu
 	bad bool
 	//lint:guardedby mu
@@ -123,8 +123,10 @@ type Store struct {
 	segRows int
 	//lint:guardedby mu
 	segs []*diskSegment
+	// tail holds the rows past the sealed prefix in untracked mode, as a
+	// relation of its own; tracked mode reads them from rel.
 	//lint:guardedby mu
-	tail []relation.Tuple // untracked mode; tracked mode reads rel
+	tail *relation.Relation
 	rel  *relation.Relation
 	//lint:guardedby mu
 	wal *walWriter
@@ -194,6 +196,8 @@ func Create(dir string, schema *relation.Schema, opts Options) (*Store, error) {
 		if err := s.rel.SetSealHook(s.onSeal); err != nil {
 			return nil, err
 		}
+	} else {
+		s.tail = relation.New("tail", schema)
 	}
 	ctx := context.Background()
 	wal, err := s.createWAL(ctx, s.gen, 0)
@@ -276,7 +280,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.tail = rows
+	s.tail = relation.New("tail", schema)
+	for _, t := range rows {
+		if err := s.tail.Append(t); err != nil {
+			return nil, err
+		}
+	}
 	s.recoveredRows = len(rows)
 	s.recoveredTorn = torn
 	// Bookkeeping-only writer (afterRows, name); the writable paths below
@@ -399,30 +408,34 @@ func (s *Store) ensureHeaderLocked(seg *diskSegment) error {
 		return err
 	}
 	seg.hdr, seg.hdrEnd = hdr, hdrEnd
-	seg.cols = make([]*segColumn, s.schema.Len())
+	seg.cols = make([]*relation.Page, s.schema.Len())
 	return nil
 }
 
 // ensureColumn maps in one column page, verifying its checksum on first
 // touch. A bad page quarantines the whole segment — its other pages are no
-// longer trusted either.
-func (s *Store) ensureColumn(seg *diskSegment, attr int) (*segColumn, error) {
+// longer trusted either. With keep false a page not yet mapped in is read
+// and verified but not cached: Store.Relation copies every page into the
+// relation it builds, and caching them would hold the columns twice.
+func (s *Store) ensureColumn(seg *diskSegment, attr int, keep bool) (relation.Page, error) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if err := s.ensureHeaderLocked(seg); err != nil {
-		return nil, err
+		return relation.Page{}, err
 	}
 	if c := seg.cols[attr]; c != nil {
-		return c, nil
+		return *c, nil
 	}
 	c, err := readSegColumn(filepath.Join(s.dir, seg.meta.File), seg.hdr, seg.hdrEnd, attr, s.schema)
 	if err != nil {
 		s.quarantine(seg, err.Error())
-		return nil, err
+		return relation.Page{}, err
 	}
-	seg.cols[attr] = c
+	if keep {
+		seg.cols[attr] = &c
+	}
 	s.colLoads.Add(1)
-	s.loadedBytes.Add(c.bytes())
+	s.loadedBytes.Add(pageBytes(c))
 	return c, nil
 }
 
@@ -477,7 +490,10 @@ func (s *Store) AppendContext(ctx context.Context, t relation.Tuple) error {
 		}
 		return nil
 	}
-	s.tail = append(s.tail, t)
+	if err := s.tail.Append(t); err != nil {
+		s.failed = true
+		return err
+	}
 	if err := s.sealFullLocked(ctx); err != nil {
 		s.failed = true
 		return err
@@ -487,9 +503,9 @@ func (s *Store) AppendContext(ctx context.Context, t relation.Tuple) error {
 
 // onSeal is the tracked relation's seal hook: spill the newly sealed
 // span(s), one segment file per segRows. It runs synchronously inside
-// Store.Append (which holds s.mu), reading rows straight from the
-// relation's RCU snapshot — the relation package invokes it, so lockguard
-// cannot see the locked call site; the holds assertion records the contract.
+// Store.Append (which holds s.mu), reading the relation's column snapshots
+// — the relation package invokes it, so lockguard cannot see the locked
+// call site; the holds assertion records the contract.
 //
 //lint:holds mu
 func (s *Store) onSeal(lo, hi int) {
@@ -498,24 +514,52 @@ func (s *Store) onSeal(lo, hi int) {
 		ctx = context.Background()
 	}
 	for x := lo; x < hi && s.sealErr == nil; x += s.segRows {
-		if err := s.sealLocked(ctx, x, x+s.segRows, s.rel.Row); err != nil {
+		if err := s.sealLocked(ctx, x, x+s.segRows, s.spanPages(x, x+s.segRows)); err != nil {
 			s.sealErr = err
 		}
 	}
 }
 
+// spanPages returns dataset rows [lo, hi) past the sealed prefix in column
+// form: from the tracked relation, or from the untracked tail relation,
+// whose row 0 is dataset row afterRows. It is the one accessor every spill
+// and every read of the unsealed rows goes through.
+//
+//lint:holds mu
+func (s *Store) spanPages(lo, hi int) []relation.Page {
+	if s.rel != nil {
+		return s.rel.Pages(lo, hi)
+	}
+	base := s.wal.afterRows
+	return s.tail.Pages(lo-base, hi-base)
+}
+
+// unsealedRows returns the number of rows past the sealed prefix.
+//
+//lint:holds mu
+func (s *Store) unsealedRows() int {
+	if s.rel != nil {
+		return max(s.rel.Len()-s.wal.afterRows, 0)
+	}
+	return s.tail.Len()
+}
+
 // sealFullLocked spills every full segment the buffered tail covers
 // (untracked mode, and Open's interrupted-seal completion).
 func (s *Store) sealFullLocked(ctx context.Context) error {
-	for len(s.tail) >= s.segRows {
+	for s.tail.Len() >= s.segRows {
 		lo := s.wal.afterRows
-		span := s.tail[:s.segRows]
-		if err := s.sealLocked(ctx, lo, lo+s.segRows, func(i int) relation.Tuple { return span[i-lo] }); err != nil {
+		if err := s.sealLocked(ctx, lo, lo+s.segRows, s.spanPages(lo, lo+s.segRows)); err != nil {
 			return err
 		}
-		// Reslice into a fresh array so the spilled prefix is collectable —
-		// the constant-memory contract of the -spill ingest path.
-		s.tail = append([]relation.Tuple(nil), s.tail[s.segRows:]...)
+		// Start a fresh tail relation holding the rest, so the spilled
+		// prefix is collectable — the constant-memory contract of the
+		// -spill ingest path.
+		rest := relation.New("tail", s.schema)
+		if err := rest.AppendPages(s.tail.Pages(s.segRows, s.tail.Len())); err != nil {
+			return err
+		}
+		s.tail = rest
 	}
 	return nil
 }
@@ -526,11 +570,11 @@ func (s *Store) sealFullLocked(ctx context.Context) error {
 // and retire the old log. A crash between any two steps leaves the old
 // manifest + old WAL fully consistent; the new files are garbage until the
 // manifest names them.
-func (s *Store) sealLocked(ctx context.Context, lo, hi int, row func(i int) relation.Tuple) error {
+func (s *Store) sealLocked(ctx context.Context, lo, hi int, cols []relation.Page) error {
 	if err := s.walSync(ctx, s.wal, true); err != nil {
 		return err
 	}
-	name, size, err := s.writeSegment(ctx, lo, hi, row)
+	name, size, err := s.writeSegment(ctx, lo, hi, cols)
 	if err != nil {
 		return err
 	}
@@ -629,80 +673,69 @@ func (s *Store) Quarantined() []Quarantine {
 	return append([]Quarantine(nil), s.quar...)
 }
 
-// snapshot returns the segment list, tail, and segment size under the
-// mutex; page I/O happens outside it.
-func (s *Store) snapshot() (segs []*diskSegment, tail []relation.Tuple, segRows int) {
+// snapshot returns the segment list, the unsealed rows in column form, and
+// the segment size under the mutex; page I/O happens outside it.
+func (s *Store) snapshot() (segs []*diskSegment, tail []relation.Page, segRows int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	segRows = s.segRows
 	segs = append(segs, s.segs...)
-	if s.rel != nil {
-		n := s.rel.Len()
-		for i := s.wal.afterRows; i < n; i++ {
-			tail = append(tail, s.rel.Row(i))
-		}
-		return segs, tail, segRows
-	}
-	return segs, s.tail[:len(s.tail):len(s.tail)], segRows
+	lo := s.wal.afterRows
+	return segs, s.spanPages(lo, lo+s.unsealedRows()), s.segRows
 }
 
 // Relation materializes the surviving rows — every non-quarantined sealed
 // segment in span order, then the tail — into a fresh relation configured
-// with the store's segment size. Column pages checksum-verify as they are
-// read; a segment failing here is quarantined and skipped, so the result
-// is always the best currently-servable view.
+// with the store's segment size. Each segment's column pages are appended
+// as they stand, checksum-verified as they are read, their segment-local
+// dictionaries remapped into the relation's; a segment failing here is
+// quarantined and skipped, so the result is always the best
+// currently-servable view.
 func (s *Store) Relation(name string) (*relation.Relation, error) {
 	segs, tail, segRows := s.snapshot()
 	rel := relation.New(name, s.schema)
 	if err := rel.SetSegmentRows(segRows); err != nil {
 		return nil, err
 	}
-	total := 0
+	total := pageRows(tail)
 	for _, seg := range segs {
 		total += seg.meta.Hi - seg.meta.Lo
 	}
-	rel.Grow(total + len(tail))
+	rel.Grow(total)
 	for _, seg := range segs {
-		rows, ok := s.segmentTuples(seg)
+		pages, ok := s.segmentPages(seg)
 		if !ok {
 			continue
 		}
-		for _, t := range rows {
-			rel.MustAppend(t)
+		if err := rel.AppendPages(pages); err != nil {
+			return nil, err
 		}
 	}
-	for _, t := range tail {
-		rel.MustAppend(t)
+	if err := rel.AppendPages(tail); err != nil {
+		return nil, err
 	}
 	return rel, nil
 }
 
-// segmentTuples loads every column of seg and reassembles its tuples.
-// ok=false means the segment is (now) quarantined.
-func (s *Store) segmentTuples(seg *diskSegment) ([]relation.Tuple, bool) {
-	n := s.schema.Len()
-	cols := make([]*segColumn, n)
-	for a := 0; a < n; a++ {
-		c, err := s.ensureColumn(seg, a)
+// pageRows returns the number of rows a page set holds.
+func pageRows(pages []relation.Page) int {
+	if len(pages) == 0 {
+		return 0
+	}
+	return max(len(pages[0].Nums), len(pages[0].Codes))
+}
+
+// segmentPages loads every column page of seg, for copying. ok=false means
+// the segment is (now) quarantined.
+func (s *Store) segmentPages(seg *diskSegment) ([]relation.Page, bool) {
+	pages := make([]relation.Page, s.schema.Len())
+	for a := range pages {
+		c, err := s.ensureColumn(seg, a, false)
 		if err != nil {
 			return nil, false
 		}
-		cols[a] = c
+		pages[a] = c
 	}
-	rows := seg.meta.Hi - seg.meta.Lo
-	out := make([]relation.Tuple, rows)
-	for i := 0; i < rows; i++ {
-		t := make(relation.Tuple, n)
-		for a := 0; a < n; a++ {
-			if c := cols[a]; c.nums != nil {
-				t[a] = relation.NumberValue(c.nums[i])
-			} else {
-				t[a] = relation.StringValue(c.dict[c.codes[i]])
-			}
-		}
-		out[i] = t
-	}
-	return out, true
+	return pages, true
 }
 
 // Select evaluates pred over the surviving rows without materializing the
@@ -713,7 +746,13 @@ func (s *Store) segmentTuples(seg *diskSegment) ([]relation.Tuple, bool) {
 // the relation Relation() would build at the same quarantine state.
 func (s *Store) Select(pred relation.Predicate) ([]int, error) {
 	segs, tail, _ := s.snapshot()
-	conj, supported := flattenPred(pred)
+	conj := flattenPred(pred, nil)
+	for _, p := range conj {
+		if !s.validConjunct(p) {
+			// A missing or mistyped attribute: Matches rejects every row.
+			return []int{}, nil
+		}
+	}
 
 	idx := []int{}
 	base := 0 // surviving-row offset of the current segment
@@ -725,75 +764,65 @@ func (s *Store) Select(pred relation.Predicate) ([]int, error) {
 		if bad {
 			continue
 		}
-		if supported {
-			match, err := s.selectSegment(seg, conj, base)
-			if err != nil {
-				continue // quarantined during load; rows drop out
-			}
-			idx = append(idx, match...)
-		} else {
-			tuples, ok := s.segmentTuples(seg)
-			if !ok {
-				continue
-			}
-			for i, t := range tuples {
-				if pred == nil || pred.Matches(s.schema, t) {
-					idx = append(idx, base+i)
-				}
-			}
+		match, err := s.selectSegment(seg, conj, base)
+		if err != nil {
+			continue // quarantined during load; rows drop out
 		}
+		idx = append(idx, match...)
 		base += rows
 	}
-	for i, t := range tail {
-		if pred == nil || pred.Matches(s.schema, t) {
-			idx = append(idx, base+i)
-		}
-	}
-	return idx, nil
+	match, _ := s.matchPages(conj, func(a int) (relation.Page, error) { return tail[a], nil }, pageRows(tail), base)
+	return append(idx, match...), nil
 }
 
-// flattenPred decomposes pred into conjuncts the zone-pruned path can
-// evaluate columnar (True/In/Range, possibly under And). supported=false
-// falls back to whole-segment materialization + row-wise Matches.
-func flattenPred(pred relation.Predicate) ([]relation.Predicate, bool) {
+// flattenPred decomposes pred into its And-flattened In/Range conjuncts,
+// dropping TRUEs.
+func flattenPred(pred relation.Predicate, dst []relation.Predicate) []relation.Predicate {
 	switch p := pred.(type) {
-	case nil, relation.True:
-		return nil, true
 	case *relation.In, *relation.Range:
-		return []relation.Predicate{p}, true
+		return append(dst, p)
 	case *relation.And:
-		out := make([]relation.Predicate, 0, len(p.Preds))
 		for _, q := range p.Preds {
-			sub, ok := flattenPred(q)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, sub...)
+			dst = flattenPred(q, dst)
 		}
-		return out, true
 	}
-	return nil, false
+	return dst
+}
+
+// validConjunct reports whether an In names a categorical attribute and a
+// Range a numeric one.
+func (s *Store) validConjunct(p relation.Predicate) bool {
+	want, attr := relation.Numeric, ""
+	switch q := p.(type) {
+	case *relation.In:
+		want, attr = relation.Categorical, q.Attr
+	case *relation.Range:
+		attr = q.Attr
+	}
+	typ, ok := s.schema.TypeOf(attr)
+	return ok && typ == want
 }
 
 // selectSegment evaluates the conjuncts over one segment: zone-prune
-// first, then load only the referenced columns and intersect row-wise.
+// first, then load only the referenced columns.
 func (s *Store) selectSegment(seg *diskSegment, conj []relation.Predicate, base int) ([]int, error) {
 	hdr, err := s.ensureHeader(seg)
 	if err != nil {
 		return nil, err
 	}
-	rows := hdr.Hi - hdr.Lo
 	for _, p := range conj {
-		prune, empty := s.zonePrunes(hdr, p)
-		if empty {
-			return nil, nil // a conjunct no row anywhere can satisfy
-		}
-		if prune {
+		if s.zonePrunes(hdr, p) {
 			s.lazyPruned.Add(1)
 			return nil, nil
 		}
 	}
 	s.lazyScanned.Add(1)
+	return s.matchPages(conj, func(a int) (relation.Page, error) { return s.ensureColumn(seg, a, true) }, hdr.Hi-hdr.Lo, base)
+}
+
+// matchPages evaluates valid In/Range conjuncts over rows column pages
+// fetched through col, returning the matching positions offset by base.
+func (s *Store) matchPages(conj []relation.Predicate, col func(attr int) (relation.Page, error), rows, base int) ([]int, error) {
 	keep := make([]bool, rows)
 	for i := range keep {
 		keep[i] = true
@@ -802,26 +831,26 @@ func (s *Store) selectSegment(seg *diskSegment, conj []relation.Predicate, base 
 		switch q := p.(type) {
 		case *relation.In:
 			a, _ := s.schema.Lookup(q.Attr)
-			col, err := s.ensureColumn(seg, a)
+			pg, err := col(a)
 			if err != nil {
 				return nil, err
 			}
-			member := make([]bool, len(col.dict))
+			member := make([]bool, len(pg.Dict))
 			for _, v := range q.SortedValues() {
-				if j := sort.SearchStrings(col.dict, v); j < len(col.dict) && col.dict[j] == v {
+				if j := sort.SearchStrings(pg.Dict, v); j < len(pg.Dict) && pg.Dict[j] == v {
 					member[j] = true
 				}
 			}
-			for i, c := range col.codes {
+			for i, c := range pg.Codes {
 				keep[i] = keep[i] && member[c]
 			}
 		case *relation.Range:
 			a, _ := s.schema.Lookup(q.Attr)
-			col, err := s.ensureColumn(seg, a)
+			pg, err := col(a)
 			if err != nil {
 				return nil, err
 			}
-			for i, v := range col.nums {
+			for i, v := range pg.Nums {
 				// Mirrors Range.Matches exactly, NaN semantics included.
 				ok := !(v < q.Lo)
 				if q.HiInc {
@@ -842,52 +871,38 @@ func (s *Store) selectSegment(seg *diskSegment, conj []relation.Predicate, base 
 	return idx, nil
 }
 
-// zonePrunes consults hdr's persisted zone map for conjunct p. prune means
-// this segment provably has no match; empty means no row in ANY segment
-// can match (the conjunct references a missing or mistyped attribute —
-// Matches would return false everywhere).
-func (s *Store) zonePrunes(hdr *segHeader, p relation.Predicate) (prune, empty bool) {
+// zonePrunes consults hdr's persisted zone map for the valid conjunct p:
+// true means this segment provably has no match.
+func (s *Store) zonePrunes(hdr *segHeader, p relation.Predicate) bool {
 	switch q := p.(type) {
-	case relation.True:
-		return false, false
 	case *relation.In:
-		a, ok := s.schema.Lookup(q.Attr)
-		if !ok || s.schema.Attr(a).Type != relation.Categorical {
-			return false, true
-		}
+		a, _ := s.schema.Lookup(q.Attr)
 		z := hdr.Zones[a]
 		for _, v := range q.SortedValues() {
 			if j := sort.SearchStrings(z.Vals, v); j < len(z.Vals) && z.Vals[j] == v {
-				return false, false
+				return false
 			}
 		}
-		return true, false
+		return true
 	case *relation.Range:
-		a, ok := s.schema.Lookup(q.Attr)
-		if !ok || s.schema.Attr(a).Type != relation.Numeric {
-			return false, true
-		}
+		a, _ := s.schema.Lookup(q.Attr)
 		z := hdr.Zones[a]
 		if !z.HasVal {
-			return true, false // all-NaN span: Range never matches NaN
+			return true // all-NaN span: Range never matches NaN
 		}
 		min, max := math.Float64frombits(z.MinBits), math.Float64frombits(z.MaxBits)
 		if math.IsNaN(q.Hi) {
-			return true, false // v <= NaN / v < NaN is false for every v
+			return true // v <= NaN / v < NaN is false for every v
 		}
 		if !math.IsNaN(q.Lo) && max < q.Lo {
-			return true, false
+			return true
 		}
 		if q.HiInc {
-			if min > q.Hi {
-				return true, false
-			}
-		} else if min >= q.Hi {
-			return true, false
+			return min > q.Hi
 		}
-		return false, false
+		return min >= q.Hi
 	}
-	return false, false
+	return false
 }
 
 // Stats is the durability snapshot behind healthz's "durability" block.
@@ -920,13 +935,7 @@ type Stats struct {
 // Stats returns a point-in-time durability snapshot.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	tailRows := len(s.tail)
-	if s.rel != nil {
-		tailRows = s.rel.Len() - s.wal.afterRows
-		if tailRows < 0 {
-			tailRows = 0
-		}
-	}
+	tailRows := s.unsealedRows()
 	st := Stats{
 		Generation:        s.gen,
 		SegmentRows:       s.segRows,

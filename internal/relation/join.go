@@ -56,37 +56,64 @@ func Join(fact *Relation, factKey string, dim *Relation, dimKey string) (*Relati
 		return nil, fmt.Errorf("relation: joined schema: %w", err)
 	}
 
-	// Build the dimension hash table.
-	dimRows := dim.snapshot()
-	dimByKey := make(map[Value]int, len(dimRows))
-	for i, row := range dimRows {
-		key := row[dPos]
+	// Build the dimension hash table, then pair each fact row with its
+	// dimension row.
+	nd := dim.Len()
+	dimByKey := make(map[Value]int, nd)
+	for i := 0; i < nd; i++ {
+		key := dim.Cell(i, dPos)
 		if _, dup := dimByKey[key]; dup {
 			return nil, fmt.Errorf("relation: dimension %s has duplicate key %v", dim.Name, key)
 		}
 		dimByKey[key] = i
 	}
+	var factRows, dimRows []int
+	for i, nf := 0, fact.Len(); i < nf; i++ {
+		if d, ok := dimByKey[fact.Cell(i, fPos)]; ok {
+			factRows = append(factRows, i)
+			dimRows = append(dimRows, d)
+		} // inner join: unmatched fact rows are dropped
+	}
 
+	pages := fact.Gather(factRows)
+	dimPages := dim.Gather(dimRows)
+	for _, c := range dimCols {
+		pages = append(pages, dimPages[c])
+	}
 	out := New(fact.Name+"_"+dim.Name, schema)
-	factRows := fact.snapshot()
-	out.Grow(len(factRows))
-	for _, fRow := range factRows {
-		dRow, ok := dimByKey[fRow[fPos]]
-		if !ok {
-			continue // inner join: unmatched fact rows are dropped
-		}
-		tuple := make(Tuple, 0, schema.Len())
-		tuple = append(tuple, fRow...)
-		for _, c := range dimCols {
-			tuple = append(tuple, dimRows[dRow][c])
-		}
-		out.MustAppend(tuple)
+	if err := out.AppendPages(pages); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// Gather returns the given rows, in the given order, in column form: one
+// freshly allocated Page per attribute (categorical pages share the
+// relation's dictionary).
+func (r *Relation) Gather(rows []int) []Page {
+	out := make([]Page, r.schema.Len())
+	for a := range out {
+		if r.schema.attrs[a].Type == Numeric {
+			col := r.numView(a)
+			nums := make([]float64, len(rows))
+			for k, i := range rows {
+				nums[k] = col[i]
+			}
+			out[a].Nums = nums
+			continue
+		}
+		col := r.catView(a)
+		codes := make([]uint32, len(rows))
+		for k, i := range rows {
+			codes[k] = col.Codes[i]
+		}
+		out[a] = Page{Codes: codes, Dict: col.Dict}
+	}
+	return out
+}
+
 // Project returns a new relation containing only the named attributes, in
-// the given order. Row order is preserved; cell values are shared.
+// the given order. Row order is preserved; the columns are copied.
 func Project(r *Relation, cols ...string) (*Relation, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("relation: projection needs at least one attribute")
@@ -105,15 +132,14 @@ func Project(r *Relation, cols ...string) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relation: projected schema: %w", err)
 	}
+	all := r.Pages(0, r.Len())
+	pages := make([]Page, len(pos))
+	for j, p := range pos {
+		pages[j] = all[p]
+	}
 	out := New(r.Name, schema)
-	rows := r.snapshot()
-	out.Grow(len(rows))
-	for _, row := range rows {
-		tuple := make(Tuple, len(pos))
-		for j, p := range pos {
-			tuple[j] = row[p]
-		}
-		out.MustAppend(tuple)
+	if err := out.AppendPages(pages); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

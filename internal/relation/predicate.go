@@ -10,20 +10,85 @@ import (
 
 // Predicate is a boolean condition over a tuple. Category labels, query
 // selection conditions, and simulated user interests are all predicates.
+// True, *In, *Range and *And are the only kinds: the unexported marker
+// method closes the set, so the vectorized engine (vselect.go) has a plan
+// for every predicate.
 type Predicate interface {
 	// Matches reports whether tuple t (under schema s) satisfies the
-	// predicate. Unknown attributes never match.
+	// predicate. Unknown attributes never match. Relations evaluate
+	// predicates over their columns (Select, Matcher); Matches is the
+	// row-at-a-time definition they are tested against.
 	Matches(s *Schema, t Tuple) bool
 	// String renders the predicate in the SQL-ish form used for category
 	// labels and query reconstruction.
 	String() string
+
+	predicate()
 }
+
+// Matcher compiles pred against the relation's current columns into a
+// per-row test with exactly Predicate.Matches' semantics, for loops over a
+// tuple-set that must not materialize a Tuple per row. Rows must be below
+// Len at the time of the call. A nil pred matches every row.
+func (r *Relation) Matcher(pred Predicate) func(row int) bool {
+	switch p := pred.(type) {
+	case *In:
+		col, err := r.CatColumn(p.Attr)
+		if err != nil {
+			return matchNone
+		}
+		member := make([]bool, col.Card())
+		for v := range p.Values {
+			if c, ok := col.Code(v); ok {
+				member[c] = true
+			}
+		}
+		return func(i int) bool { return member[col.Codes[i]] }
+	case *Range:
+		col, err := r.NumColumn(p.Attr)
+		if err != nil {
+			return matchNone
+		}
+		lo, hi, hiInc := p.Lo, p.Hi, p.HiInc
+		return func(i int) bool {
+			v := col[i]
+			if v < lo {
+				return false
+			}
+			if hiInc {
+				return v <= hi
+			}
+			return v < hi
+		}
+	case *And:
+		ms := make([]func(int) bool, len(p.Preds))
+		for k, q := range p.Preds {
+			ms[k] = r.Matcher(q)
+		}
+		return func(i int) bool {
+			for _, m := range ms {
+				if !m(i) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	return func(int) bool { return true } // True, nil
+}
+
+func matchNone(int) bool { return false }
 
 // True is the predicate satisfied by every tuple.
 type True struct{}
 
 // Matches always reports true.
 func (True) Matches(*Schema, Tuple) bool { return true }
+
+func (True) predicate()   {}
+func (*In) predicate()    {}
+func (*Range) predicate() {}
+func (*And) predicate()   {}
 
 // String renders the constant predicate.
 func (True) String() string { return "TRUE" }

@@ -7,7 +7,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,33 +127,41 @@ func NumberValue(n float64) Value { return Value{Num: n} }
 // Tuple is one row, with cells positionally aligned to a Schema.
 type Tuple []Value
 
-// Relation is an in-memory table: a schema plus rows. Rows are stored by
-// value; tuple identity within a relation is the row index, which the
-// categorizer uses to keep tuple-sets as index slices.
+// Relation is an in-memory table: a schema plus rows. The rows live only in
+// the columns (column.go) — one dense []float64 per numeric attribute, one
+// dictionary-coded []uint32 per categorical attribute — divided into sealed
+// segments plus an active tail (segment.go). Tuple identity within a
+// relation is the row index, which the categorizer uses to keep tuple-sets
+// as index slices; Row materializes a Tuple from the columns at the edges
+// (CSV, rendering, tests).
 //
-// Concurrency: readers never block. The row store is published RCU-style —
-// an immutable slice header behind an atomic pointer that every read
-// operation loads once — and writers (Append, Grow, BuildIndex) serialize on
-// an internal mutex, mutate a private copy or the spare capacity beyond the
-// published length, and publish with one atomic store. Readers racing a
-// writer keep whichever snapshot they loaded; row indices obtained from an
-// older snapshot stay valid against newer ones because rows are only ever
-// appended.
+// Concurrency: writers (Append, AppendPages, Grow) serialize on an internal
+// mutex and write only past the published row count, into spare capacity
+// no reader can see; the row count is then published with one atomic
+// store. Readers take column snapshots — cap-clamped views published
+// behind atomic pointers — and never block unless a snapshot lags appended
+// rows, in which case they refresh it under the writer mutex. A reader
+// racing a writer keeps whichever snapshot it loaded; row indices obtained
+// from an older snapshot stay valid against newer ones because rows are
+// only ever appended.
 type Relation struct {
 	Name   string
 	schema *Schema
 
-	// mu serializes writers; readers go through rows.Load() only.
-	mu   sync.Mutex
-	rows atomic.Pointer[[]Tuple]
+	// mu serializes writers and the refresh of stale column snapshots.
+	mu sync.Mutex
+	// store is the writer-side column state, by attribute position.
+	//lint:guardedby mu
+	store []colStore
+	// views are the published column snapshots, by attribute position.
+	views []colView
+	// n is the published row count. It is also the data generation:
+	// derived artifacts (conjunct bitmaps, memoized trees) are stamped with
+	// the row count they were built against.
+	n atomic.Int64
 
-	// Secondary indexes (see index.go), published as one immutable set
-	// behind an atomic pointer; nil means "not indexed".
-	idx atomic.Pointer[indexSet]
-
-	// Cached columnar projections (see column.go); maintained incrementally
-	// across Appends — sealed spans are never rebuilt.
-	cols columnCache
+	// Whole-relation caches derived from the columns (see column.go).
+	derived derivedCache
 
 	// Segmented-storage state (see segment.go): the sealed-segment list and
 	// the storage counters behind healthz's "storage" block.
@@ -163,59 +170,76 @@ type Relation struct {
 	// Vectorized selection state (see vselect.go): the bounded
 	// conjunct-bitmap cache and the selection counters.
 	vsel vselState
-
-	// dataGen counts mutations; every Append increments it. Derived
-	// artifacts (conjunct bitmaps, memoized trees) are stamped with the
-	// generation they were built against.
-	dataGen atomic.Uint64
 }
 
 // New creates an empty relation with the given name and schema.
 func New(name string, schema *Schema) *Relation {
-	return &Relation{Name: name, schema: schema}
+	return &Relation{
+		Name:   name,
+		schema: schema,
+		store:  make([]colStore, schema.Len()),
+		views:  make([]colView, schema.Len()),
+	}
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// snapshot returns the current immutable row slice. One load per read
-// operation: a reader works against a consistent row set even while a
-// writer publishes a successor.
-func (r *Relation) snapshot() []Tuple {
-	if p := r.rows.Load(); p != nil {
-		return *p
+// Len returns the number of rows.
+func (r *Relation) Len() int { return int(r.n.Load()) }
+
+// Row materializes the i-th tuple from the columns. The tuple is a fresh
+// copy; callers may keep or modify it.
+func (r *Relation) Row(i int) Tuple {
+	t := make(Tuple, r.schema.Len())
+	for a := range t {
+		t[a] = r.Cell(i, a)
 	}
-	return nil
+	return t
 }
 
-// Len returns the number of rows.
-func (r *Relation) Len() int { return len(r.snapshot()) }
+// Cell returns row i's value of the attribute at position attr: the string
+// of a categorical attribute, the number of a numeric one.
+func (r *Relation) Cell(i, attr int) Value {
+	if r.schema.attrs[attr].Type == Numeric {
+		return NumberValue(r.numView(attr)[i])
+	}
+	return StringValue(r.catView(attr).Value(i))
+}
 
-// Row returns the i-th tuple. The returned slice must not be modified.
-func (r *Relation) Row(i int) Tuple { return r.snapshot()[i] }
-
-// Append adds a row. It returns an error if the tuple width does not match
-// the schema. Append is safe to call concurrently with readers (Select,
-// Categorize, the column builders): the new row lands in spare capacity
-// beyond the published length — invisible to holders of the old snapshot —
-// and then a new slice header is published atomically.
+// Append adds a row, writing each cell straight into its attribute's
+// column. It returns an error if the tuple width does not match the
+// schema. Append is safe to call concurrently with readers: the cells land
+// past the published row count, which is then advanced atomically.
 //
-// Append only touches the active tail of the segmented store (segment.go):
-// it bumps the data generation and seals any segment spans the tail now
-// covers. Nothing derived is invalidated — columnar projections, cached
-// conjunct bitmaps, and secondary indexes all extend over just the appended
-// rows on their next read (column.go, vselect.go, index.go), so per-row
-// maintenance cost is independent of the total row count.
+// Nothing derived is invalidated — cached conjunct bitmaps extend over
+// just the appended rows on their next read (vselect.go), so per-row
+// maintenance cost is independent of the total row count. When the tail reaches the segment size the full
+// span is sealed (segment.go).
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple has %d cells, schema has %d", r.Name, len(t), r.schema.Len())
 	}
 	r.mu.Lock()
-	rows := append(r.snapshot(), t)
-	r.rows.Store(&rows)
-	r.dataGen.Add(1)
+	for a := range r.store {
+		s := &r.store[a]
+		if r.schema.attrs[a].Type == Numeric {
+			s.nums = append(grow(s.nums, 1), t[a].Num)
+		} else {
+			s.appendString(t[a].Str)
+		}
+	}
+	r.commitLocked(1)
+	return nil
+}
+
+// commitLocked publishes added rows written into the column store, seals
+// the segment spans they complete, releases the writer mutex, and runs the
+// seal hook for the newly sealed span. Called with r.mu held; returns with
+// it released.
+func (r *Relation) commitLocked(added int) {
 	prevHi := r.sealedRows()
-	r.maybeSeal(len(rows))
+	r.maybeSeal(int(r.n.Add(int64(added))))
 	newHi := r.sealedRows()
 	hook := r.seg.sealHook
 	r.mu.Unlock()
@@ -225,7 +249,6 @@ func (r *Relation) Append(t Tuple) error {
 		// the durable store spills them to disk from here.
 		hook(prevHi, newHi)
 	}
-	return nil
 }
 
 // MustAppend is Append but panics on error; for tests and generators whose
@@ -236,25 +259,24 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Grow pre-allocates capacity for n additional rows.
+// Grow pre-allocates column capacity for n additional rows.
 func (r *Relation) Grow(n int) {
 	r.mu.Lock()
-	rows := r.snapshot()
-	if need := len(rows) + n; need > cap(rows) {
-		grown := make([]Tuple, len(rows), need)
-		copy(grown, rows)
-		r.rows.Store(&grown)
+	defer r.mu.Unlock()
+	for a := range r.store {
+		s := &r.store[a]
+		if r.schema.attrs[a].Type == Numeric {
+			s.nums = growExact(s.nums, n)
+		} else {
+			s.codes = growExact(s.codes, n)
+		}
 	}
-	r.mu.Unlock()
 }
 
 // Select returns the indices of all rows satisfying pred, in row order.
-// A nil predicate selects every row; that identity list is cached with the
-// projections and shared across calls — callers must not modify it.
-//
-// Non-nil predicates evaluate through the vectorized bitmap engine
-// (vselect.go) when every conjunct is a supported In/Range shape, and fall
-// back to the row-wise scan otherwise; the result is identical either way.
+// A nil predicate selects every row; that identity list is cached and
+// shared across calls — callers must not modify it. Every other predicate
+// evaluates through the vectorized bitmap engine (vselect.go).
 func (r *Relation) Select(pred Predicate) []int {
 	if pred == nil {
 		return r.identityRows()
@@ -264,101 +286,50 @@ func (r *Relation) Select(pred Predicate) []int {
 	r.vsel.selects.Add(1)
 	//lint:ignore hottime paired with the start read above; deliberate one-shot instrumentation
 	defer func() { r.vsel.nanos.Add(uint64(time.Since(start))) }()
-	if out, ok := r.vectorSelect(pred); ok {
-		r.vsel.vectorized.Add(1)
-		return out
-	}
-	r.vsel.fallback.Add(1)
-	return r.scanSelect(pred)
-}
-
-// scanSelect is the row-wise evaluation path: when a secondary index covers
-// one of the predicate's conjuncts, the scan is restricted to the index's
-// candidates; otherwise every tuple is tested through Predicate.Matches.
-func (r *Relation) scanSelect(pred Predicate) []int {
-	rows := r.snapshot()
-	if cands, ok := r.candidates(pred); ok {
-		out := make([]int, 0, len(cands))
-		for _, i := range cands {
-			if i >= len(rows) {
-				// The index extension raced an Append past our snapshot;
-				// candidates are sorted, so everything after is newer too.
-				break
-			}
-			if pred.Matches(r.schema, rows[i]) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	out := make([]int, 0, len(rows)/4+1)
-	for i, t := range rows {
-		if pred.Matches(r.schema, t) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return r.vectorSelect(pred)
 }
 
 // DistinctStrings returns the distinct categorical values of attribute attr
 // among the rows named by idx, sorted lexicographically. It returns an error
-// if attr is missing or not categorical.
-//
-// When the attribute's dictionary-coded projection is already built, the
-// distinct set is computed as code presence over the sorted value table —
-// no string hashing, and the dictionary order supplies the sort for free.
-// Without a built column the raw rows are hashed as before (building a
-// whole-relation projection just to answer a small idx would cost more).
+// if attr is missing or not categorical. The distinct set is computed as
+// code presence over the sorted dictionary — no string hashing, and the
+// dictionary order supplies the sort for free.
 func (r *Relation) DistinctStrings(attr string, idx []int) ([]string, error) {
-	pos, ok := r.schema.Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("relation %s: no attribute %q", r.Name, attr)
+	col, err := r.CatColumn(attr)
+	if err != nil {
+		return nil, err
 	}
-	if r.schema.Attr(pos).Type != Categorical {
-		return nil, fmt.Errorf("relation %s: attribute %q is not categorical", r.Name, attr)
-	}
-	if col := r.catColumnIfBuilt(pos); col != nil {
-		present := make([]bool, len(col.Dict))
-		n := 0
-		for _, i := range idx {
-			if c := col.Codes[i]; !present[c] {
-				present[c] = true
-				n++
-			}
-		}
-		out := make([]string, 0, n)
-		for code, p := range present {
-			if p {
-				out = append(out, col.Dict[code]) // Dict is sorted ascending
-			}
-		}
-		return out, nil
-	}
-	rows := r.snapshot()
-	seen := make(map[string]struct{})
+	present := make([]bool, len(col.Dict))
+	n := 0
 	for _, i := range idx {
-		seen[rows[i][pos].Str] = struct{}{}
+		if c := col.Codes[i]; !present[c] {
+			present[c] = true
+			n++
+		}
 	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	out := make([]string, 0, n)
+	for code, p := range present {
+		if p {
+			out = append(out, col.Dict[code])
+		}
 	}
-	sort.Strings(out)
 	return out, nil
 }
 
 // NumRange returns the min and max numeric value of attribute attr among the
 // rows named by idx. ok is false when idx is empty or attr is not numeric.
 func (r *Relation) NumRange(attr string, idx []int) (lo, hi float64, ok bool) {
-	pos, found := r.schema.Lookup(attr)
-	if !found || r.schema.Attr(pos).Type != Numeric || len(idx) == 0 {
+	if len(idx) == 0 {
 		return 0, 0, false
 	}
-	rows := r.snapshot()
-	lo = rows[idx[0]][pos].Num
+	col, err := r.NumColumn(attr)
+	if err != nil {
+		return 0, 0, false
+	}
+	lo = col[idx[0]]
 	hi = lo
 	for _, i := range idx[1:] {
-		v := rows[i][pos].Num
+		v := col[i]
 		if v < lo {
 			lo = v
 		}

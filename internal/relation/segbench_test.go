@@ -48,17 +48,13 @@ func segBenchRelation(tb testing.TB, n, segRows int) *Relation {
 }
 
 // BenchmarkSegmentAppendSteady measures the steady-state per-row Append cost
-// on relations preloaded to different sizes with columns, conjunct bitmaps,
-// and indexes all live. Sealing only touches the segment directory, so the
-// per-row cost must be independent of the total row count — this is the
-// number the drop-everything design made O(rows) to recover.
+// on relations preloaded to different sizes with conjunct bitmaps live.
+// Sealing only touches the segment directory, so the per-row cost must be
+// independent of the total row count.
 func BenchmarkSegmentAppendSteady(b *testing.B) {
 	for _, n := range []int{10000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("preload=%d", n), func(b *testing.B) {
 			r := segBenchRelation(b, n, 0)
-			if err := r.BuildIndex(); err != nil {
-				b.Fatal(err)
-			}
 			if len(r.Select(segBenchSelective(n))) == 0 {
 				b.Fatal("empty warmup selection")
 			}
@@ -99,45 +95,33 @@ func segBenchUnselective(n int) Predicate {
 	)
 }
 
-// BenchmarkSegmentAppendThenRead is the headline incremental-maintenance
-// number: one appended row followed by a warm multi-conjunct Select on a
-// preloaded 100k relation. mode=incremental is the live path — projections,
-// conjunct bitmaps, and indexes extend by exactly the appended suffix.
-// mode=dropEverything replays the pre-segment design by invalidating all
-// three after the append, so the Select pays full O(rows) rebuilds.
+// BenchmarkSegmentAppendThenRead is the incremental-maintenance number: one
+// appended row followed by a warm multi-conjunct Select on a preloaded 100k
+// relation — column snapshots and conjunct bitmaps extend by exactly the
+// appended suffix.
 func BenchmarkSegmentAppendThenRead(b *testing.B) {
 	const n = 100000
-	for _, mode := range []string{"incremental", "dropEverything"} {
-		b.Run("rows=100000/mode="+mode, func(b *testing.B) {
-			r := segBenchRelation(b, n, 0)
-			if err := r.BuildIndex(); err != nil {
-				b.Fatal(err)
-			}
-			// Narrower than segBenchSelective so the measured delta is the
-			// maintenance work, not materializing a large result slice.
-			pred := NewAnd(
-				NewClosedRange("ts", float64(n-2000), float64(n)),
-				NewClosedRange("noise", 0, 1),
-			)
+	b.Run("rows=100000/mode=incremental", func(b *testing.B) {
+		r := segBenchRelation(b, n, 0)
+		// Narrower than segBenchSelective so the measured delta is the
+		// maintenance work, not materializing a large result slice.
+		pred := NewAnd(
+			NewClosedRange("ts", float64(n-2000), float64(n)),
+			NewClosedRange("noise", 0, 1),
+		)
+		if len(r.Select(pred)) == 0 {
+			b.Fatal("empty warmup selection")
+		}
+		rng := rand.New(rand.NewSource(44))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.MustAppend(segBenchTuple(rng, n+i))
 			if len(r.Select(pred)) == 0 {
-				b.Fatal("empty warmup selection")
+				b.Fatal("empty selection")
 			}
-			rng := rand.New(rand.NewSource(44))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.MustAppend(segBenchTuple(rng, n+i))
-				if mode == "dropEverything" {
-					r.dropColumns()
-					r.dropConjuncts()
-					r.dropIndexes()
-				}
-				if len(r.Select(pred)) == 0 {
-					b.Fatal("empty selection")
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // The paper-scale zone benchmark relations are built once per binary: the

@@ -6,31 +6,25 @@ import (
 	"sync/atomic"
 )
 
-// Segmented storage (DESIGN.md §14). The row store is divided into sealed
+// Segmented storage (DESIGN.md §14). The columns are divided into sealed
 // segments — immutable, contiguous spans of DefaultSegmentRows rows whose
-// derived artifacts (zone maps, columnar page spans) are built once and
-// never invalidated — plus one active tail holding the rows appended since
-// the last seal. Append only touches the tail: it lands the row, bumps the
-// data generation, and, when the tail reaches the segment size, seals the
-// full spans by publishing new segment descriptors. Nothing about the
-// sealed prefix is recomputed.
+// derived artifacts (zone maps) are built once and never invalidated — plus
+// one active tail holding the rows appended since the last seal. Append
+// only touches the tail: it writes the row's cells, publishes the row
+// count, and, when the tail reaches the segment size, seals the full spans
+// by publishing new segment descriptors and encoding any pending
+// categorical cells (column.go), so a sealed span is always fully
+// dictionary-coded. Nothing about the sealed prefix is recomputed.
 //
-// The physical layout stays the flat, contiguous arrays the categorizer and
-// the vectorized engine already consume (rows behind the RCU pointer, one
-// projection array per attribute): a segment is a logical [lo, hi) span over
-// them, not a separate allocation. What sealing freezes is the *maintenance
-// contract* — the columnar prefix covering sealed rows is append-only (the
-// one exception, a dictionary remap when a brand-new categorical value
-// arrives, rewrites codes without re-reading any sealed row), per-segment
-// zone maps are computed once, and cached conjunct bitmaps extend by
-// evaluating only rows past their previous coverage. The drop-everything
-// invalidation that made every Append cost O(total rows) on the next read is
-// gone; see column.go and vselect.go for the incremental paths.
-//
-// Secondary indexes (index.go) follow the same discipline: Append no longer
-// drops them; a set lagging the row count is extended on the next indexed
-// read by sorting only the appended suffix and merging it with the existing
-// sorted runs — the sealed prefix is reused, never re-sorted.
+// The physical layout stays the flat, contiguous column arrays the
+// categorizer and the vectorized engine consume: a segment is a logical
+// [lo, hi) span over them, not a separate allocation. What sealing freezes
+// is the *maintenance contract* — the column prefix covering sealed rows is
+// append-only (the one exception, a dictionary remap when a brand-new
+// categorical value arrives, rewrites codes into a fresh array without
+// re-reading any value), per-segment zone maps are computed once, and
+// cached conjunct bitmaps extend by evaluating only rows past their
+// previous coverage.
 
 // DefaultSegmentRows is the sealed-segment span when SetSegmentRows was not
 // called. A multiple of 64 keeps segment boundaries word-aligned in the
@@ -145,8 +139,9 @@ func (r *Relation) sealedRows() int {
 	return segs[len(segs)-1].hi
 }
 
-// maybeSeal seals every full segment span the tail now covers. Called with
-// r.mu held by Append, after the new row list is published.
+// maybeSeal seals every full segment span the tail now covers and encodes
+// the pending categorical cells, so sealed spans are fully coded. Called
+// with r.mu held, after the new row count is published.
 func (r *Relation) maybeSeal(total int) {
 	segRows := r.segmentRows()
 	cur := r.sealedSegments()
@@ -165,6 +160,9 @@ func (r *Relation) maybeSeal(total int) {
 		r.seg.seals.Add(1)
 	}
 	r.seg.sealed.Store(&next)
+	for a := range r.store {
+		r.store[a].flush()
+	}
 }
 
 // StorageStats is a point-in-time snapshot of the segmented store,
@@ -178,7 +176,7 @@ type StorageStats struct {
 	SealedRows int `json:"sealedRows"`
 	TailRows   int `json:"tailRows"`
 	// SealedBytes approximates the bytes of columnar artifacts covering the
-	// sealed prefix: projection pages plus zone-map metadata.
+	// sealed prefix: column pages plus zone-map metadata.
 	SealedBytes uint64 `json:"sealedBytes"`
 	// Seals counts seal events since the relation was created.
 	Seals uint64 `json:"seals"`
@@ -212,23 +210,24 @@ func (r *Relation) StorageStats() StorageStats {
 }
 
 // sealedBytes approximates the sealed prefix's columnar footprint: the
-// projection spans covering sealed rows plus the zone-map metadata.
+// column spans covering sealed rows, the dictionaries, the cached sorted
+// projections, and the zone-map metadata.
 func (r *Relation) sealedBytes(segs []*segment, sealed int) uint64 {
 	var b uint64
-	r.cols.mu.Lock()
-	for _, e := range r.cols.num {
-		b += 8 * uint64(min(len(e.col), sealed))
-	}
-	for _, e := range r.cols.cat {
-		b += 4 * uint64(min(len(e.col.Codes), sealed))
-		for _, v := range e.col.Dict {
+	r.mu.Lock()
+	for a := range r.store {
+		s := &r.store[a]
+		b += 8*uint64(min(len(s.nums), sealed)) + 4*uint64(min(len(s.codes), sealed))
+		for _, v := range s.dict {
 			b += uint64(len(v)) + 16
 		}
 	}
-	for _, s := range r.cols.sorted {
+	r.mu.Unlock()
+	r.derived.mu.Lock()
+	for _, s := range r.derived.sorted {
 		b += 16 * uint64(min(len(s.rows), sealed))
 	}
-	r.cols.mu.Unlock()
+	r.derived.mu.Unlock()
 	for _, seg := range segs {
 		seg.mu.Lock()
 		b += 32 * uint64(len(seg.nums))

@@ -7,33 +7,6 @@ import (
 	"testing"
 )
 
-// segTestRelation builds a relation with the given segment size, appending
-// n rows from the deterministic generator relationOfSize uses (seed fixed),
-// so two relations with different segment sizes hold identical rows.
-func segTestRelation(t *testing.T, segRows, n int) *Relation {
-	t.Helper()
-	r := New("homes", MustSchema(
-		Attribute{Name: "neighborhood", Type: Categorical},
-		Attribute{Name: "price", Type: Numeric},
-		Attribute{Name: "bedrooms", Type: Numeric},
-	))
-	if segRows > 0 {
-		if err := r.SetSegmentRows(segRows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(7))
-	hoods := []string{"Bellevue, WA", "Redmond, WA", "Seattle, WA", "Issaquah, WA"}
-	for i := 0; i < n; i++ {
-		r.MustAppend(Tuple{
-			StringValue(hoods[rng.Intn(len(hoods))]),
-			NumberValue(float64(200000 + rng.Intn(50)*5000)),
-			NumberValue(float64(1 + rng.Intn(6))),
-		})
-	}
-	return r
-}
-
 func TestSetSegmentRows(t *testing.T) {
 	r := segTestRelation(t, 0, 0)
 	if got := r.segmentRows(); got != DefaultSegmentRows {
@@ -48,7 +21,7 @@ func TestSetSegmentRows(t *testing.T) {
 	if got := r.segmentRows(); got != 17 {
 		t.Fatalf("segment size %d, want 17", got)
 	}
-	r.MustAppend(Tuple{StringValue("x"), NumberValue(1), NumberValue(1)})
+	r.add(Tuple{StringValue("x"), NumberValue(1), NumberValue(1)})
 	if err := r.SetSegmentRows(32); err == nil {
 		t.Fatal("segment size must be immutable once rows exist")
 	}
@@ -57,7 +30,7 @@ func TestSetSegmentRows(t *testing.T) {
 func TestSealingBoundaries(t *testing.T) {
 	r := segTestRelation(t, 10, 0)
 	for i := 1; i <= 35; i++ {
-		r.MustAppend(Tuple{StringValue("x"), NumberValue(float64(i)), NumberValue(1)})
+		r.add(Tuple{StringValue("x"), NumberValue(float64(i)), NumberValue(1)})
 		wantSealed := i / 10 * 10
 		if got := r.sealedRows(); got != wantSealed {
 			t.Fatalf("after %d appends: sealed %d rows, want %d", i, got, wantSealed)
@@ -98,18 +71,13 @@ func TestSegmentedSelectEquivalence(t *testing.T) {
 		// seal boundaries, then warm.
 		for batch := 0; batch < 4; batch++ {
 			for _, pred := range preds {
-				want := selectReference(r, pred)
+				want := r.want(pred)
 				sameRows(t, r.Select(pred), want, "segmented select")
 				sameRows(t, r.Select(pred), want, "segmented select warm")
 			}
 			rng := rand.New(rand.NewSource(int64(batch)))
-			hoods := []string{"Bellevue, WA", "Redmond, WA", "Seattle, WA", "Issaquah, WA"}
 			for i := 0; i < 30+batch; i++ {
-				r.MustAppend(Tuple{
-					StringValue(hoods[rng.Intn(len(hoods))]),
-					NumberValue(float64(200000 + rng.Intn(50)*5000)),
-					NumberValue(float64(1 + rng.Intn(6))),
-				})
+				r.add(homeTuple(rng))
 			}
 		}
 		if segRows == 1 {
@@ -125,10 +93,10 @@ func TestSegmentedSelectEquivalence(t *testing.T) {
 // forces a remap; old snapshots must be untouched, the new snapshot
 // consistent, and IN selections exact across the remap.
 func TestDictionaryRemapOnAppend(t *testing.T) {
-	r := New("homes", MustSchema(
+	r := newTracked(New("homes", MustSchema(
 		Attribute{Name: "city", Type: Categorical},
 		Attribute{Name: "price", Type: Numeric},
-	))
+	)))
 	if err := r.SetSegmentRows(4); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +105,7 @@ func TestDictionaryRemapOnAppend(t *testing.T) {
 		if i%2 == 0 {
 			city = "zz"
 		}
-		r.MustAppend(Tuple{StringValue(city), NumberValue(float64(i))})
+		r.add(Tuple{StringValue(city), NumberValue(float64(i))})
 	}
 	before, err := r.CatColumn("city")
 	if err != nil {
@@ -145,11 +113,11 @@ func TestDictionaryRemapOnAppend(t *testing.T) {
 	}
 	beforeCodes := append([]uint32{}, before.Codes...)
 	pred := NewIn("city", "zz")
-	want := selectReference(r, pred)
+	want := r.want(pred)
 	sameRows(t, r.Select(pred), want, "pre-remap")
 
 	// "aa" sorts before both existing values: every existing code shifts.
-	r.MustAppend(Tuple{StringValue("aa"), NumberValue(99)})
+	r.add(Tuple{StringValue("aa"), NumberValue(99)})
 	after, err := r.CatColumn("city")
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +133,7 @@ func TestDictionaryRemapOnAppend(t *testing.T) {
 			t.Fatalf("row %d decodes %q after remap, was %q", i, after.Dict[after.Codes[i]], before.Dict[c])
 		}
 	}
-	want = selectReference(r, pred)
+	want = r.want(pred)
 	sameRows(t, r.Select(pred), want, "post-remap")
 	sameRows(t, r.Select(NewIn("city", "aa")), []int{10}, "new value")
 }
@@ -174,10 +142,10 @@ func TestDictionaryRemapOnAppend(t *testing.T) {
 // sealed segments (counted in StorageStats) without changing results, and
 // that NaN/±0/±Inf rows and bounds never cause a wrong prune.
 func TestZoneMapPruning(t *testing.T) {
-	r := New("events", MustSchema(
+	r := newTracked(New("events", MustSchema(
 		Attribute{Name: "kind", Type: Categorical},
 		Attribute{Name: "ts", Type: Numeric},
-	))
+	)))
 	if err := r.SetSegmentRows(64); err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +158,11 @@ func TestZoneMapPruning(t *testing.T) {
 			ts = specials[rng.Intn(len(specials))]
 		}
 		// Cluster kinds so categorical zone maps can prune too.
-		r.MustAppend(Tuple{StringValue(kinds[i/256]), NumberValue(ts)})
-	}
-	if err := r.BuildColumns(); err != nil {
-		t.Fatal(err)
+		r.add(Tuple{StringValue(kinds[i/256]), NumberValue(ts)})
 	}
 	check := func(pred Predicate, what string) {
 		t.Helper()
-		sameRows(t, r.Select(pred), selectReference(r, pred), what)
+		sameRows(t, r.Select(pred), r.want(pred), what)
 	}
 	base := r.StorageStats().ZonePruned
 	check(NewClosedRange("ts", 500, 520), "selective range")
@@ -353,32 +318,23 @@ func TestShardSegmentAlignment(t *testing.T) {
 // count the relation passed through.
 func TestConcurrentAppendSealSelect(t *testing.T) {
 	r := segTestRelation(t, 8, 100)
-	if err := r.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
 	pred := NewAnd(NewIn("neighborhood", "Bellevue, WA"), NewClosedRange("price", 200000, 330000))
 	// Reference answers for every prefix length: matches[i] is whether row i
 	// matches, so wantAt(n) is the prefix-sum filter.
 	const total = 600
 	rows := make([]Tuple, 0, total)
 	rng := rand.New(rand.NewSource(99))
-	hoods := []string{"Bellevue, WA", "Redmond, WA", "Seattle, WA", "Issaquah, WA"}
 	for i := 0; i < total; i++ {
-		rows = append(rows, Tuple{
-			StringValue(hoods[rng.Intn(len(hoods))]),
-			NumberValue(float64(200000 + rng.Intn(50)*5000)),
-			NumberValue(float64(1 + rng.Intn(6))),
-		})
+		rows = append(rows, homeTuple(rng))
 	}
 	// matched[i] answers "does row i match pred" for every row the relation
-	// will ever hold, precomputed so reader goroutines do no map work.
+	// will ever hold, precomputed from the appended tuples so reader
+	// goroutines do no map work.
 	base := 100
+	all := append(append([]Tuple{}, r.rows...), rows...)
 	matched := make([]bool, base+total)
-	for i := 0; i < base; i++ {
-		matched[i] = pred.Matches(r.Schema(), r.Row(i))
-	}
-	for i, row := range rows {
-		matched[base+i] = pred.Matches(r.Schema(), row)
+	for i, row := range all {
+		matched[i] = pred.Matches(r.Schema(), row)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -418,8 +374,8 @@ func TestConcurrentAppendSealSelect(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	want := selectReference(r, pred)
-	sameRows(t, r.Select(pred), want, "quiesced select")
+	r.rows = all
+	sameRows(t, r.Select(pred), r.want(pred), "quiesced select")
 	if st := r.StorageStats(); st.SealedRows != (base+total)/8*8 {
 		t.Fatalf("sealed rows %d after quiesce, want %d", st.SealedRows, (base+total)/8*8)
 	}

@@ -14,7 +14,7 @@ package relation
 // once and slices the (sorted) result to the span, so shards share cache
 // hits instead of each paying a build.
 //
-// Shards are snapshots in the same sense as the RCU row store: a shard set
+// Shards are snapshots in the same sense as the column snapshots: a shard set
 // taken before an Append keeps describing the rows it was taken over.
 
 // Shard is a view of rows [Lo, Hi) of a relation.
@@ -79,8 +79,8 @@ func (s Shard) NumSpan(col []float64) []float64 { return col[s.Lo:s.Hi:s.Hi] }
 
 // Select returns the indices of the span's rows satisfying pred, in row
 // order, numbered in the parent relation's row space. The predicate is
-// evaluated once by the parent's selection engine (vectorized bitmaps,
-// conjunct cache, secondary indexes all apply); the sorted result is then
+// evaluated once by the parent's selection engine (vectorized bitmaps and
+// the conjunct cache); the sorted result is then
 // cut to [Lo, Hi), so k shards selecting the same predicate cost one
 // evaluation plus k binary searches — and their concatenation, shard by
 // shard, is exactly the parent's Select result.

@@ -5,33 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 )
-
-// selectReference is the trusted oracle: the plain tuple-at-a-time scan with
-// no index, no columns, no bitmaps.
-func selectReference(r *Relation, pred Predicate) []int {
-	out := []int{}
-	for i := 0; i < r.Len(); i++ {
-		if pred.Matches(r.Schema(), r.Row(i)) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func sameRows(t *testing.T, got, want []int, what string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d rows, want %d\ngot:  %v\nwant: %v", what, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: row %d = %d, want %d", what, i, got[i], want[i])
-		}
-	}
-}
 
 func TestBitmapBasics(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 130} {
@@ -94,76 +71,53 @@ func TestBitmapBasics(t *testing.T) {
 }
 
 // TestVectorSelectMatchesReference drives the vectorized engine across the
-// supported conjunct shapes — with and without secondary indexes — and
-// checks exact row-list equality with the naive scan, twice per predicate so
-// the warm (conjunct-cache hit) path is verified too.
+// conjunct shapes and checks exact row-list equality with the oracle over
+// the appended tuples, twice per predicate so the warm (conjunct-cache hit)
+// path is verified too.
 func TestVectorSelectMatchesReference(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		r := relationOfSize(700, 11)
-		if indexed {
-			if err := r.BuildIndex(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		preds := []Predicate{
-			NewIn("neighborhood", "Seattle, WA"),
-			NewIn("neighborhood", "Seattle, WA", "Bellevue, WA", "Nowhere"),
-			NewIn("NEIGHBORHOOD", "Issaquah, WA"), // case-insensitive attr
-			NewIn("neighborhood"),                 // empty IN list
-			NewIn("missing", "x"),                 // unknown attribute
-			NewIn("price", "200000"),              // type mismatch
-			NewRange("price", 210000, 300000),
-			NewClosedRange("price", 210000, 300000),
-			NewRange("price", math.Inf(-1), 250000),
-			NewClosedRange("price", 250000, math.Inf(1)),
-			NewClosedRange("price", 300000, 200000), // empty interval
-			NewClosedRange("bedrooms", 2, 4),
-			NewRange("missing", 0, 1),
-			NewRange("neighborhood", 0, 1), // type mismatch
-			NewAnd(NewIn("neighborhood", "Seattle, WA", "Redmond, WA"), NewClosedRange("price", 220000, 340000)),
-			NewAnd(NewIn("neighborhood", "Seattle, WA"), NewClosedRange("price", 220000, 340000), NewClosedRange("bedrooms", 1, 3)),
-			NewAnd(), // empty conjunction = TRUE
-			NewAnd(True{}, NewClosedRange("bedrooms", 2, 2)),
-			NewAnd(NewRange("price", 200000, 260000), NewRange("price", 240000, 320000)), // same attr twice
-		}
-		for _, pred := range preds {
-			want := selectReference(r, pred)
-			for pass := 0; pass < 2; pass++ {
-				got, ok := r.vectorSelect(pred)
-				if !ok {
-					t.Fatalf("indexed=%v: vectorSelect rejected supported predicate %v", indexed, pred)
-				}
-				sameRows(t, got, want, pred.String())
-				sameRows(t, r.Select(pred), want, "Select: "+pred.String())
-			}
-		}
-		// True alone goes through Select's nil-free path too.
-		sameRows(t, r.Select(True{}), selectReference(r, True{}), "TRUE")
+	r := relationOfSize(700, 11)
+	preds := []Predicate{
+		NewIn("neighborhood", "Seattle, WA"),
+		NewIn("neighborhood", "Seattle, WA", "Bellevue, WA", "Nowhere"),
+		NewIn("NEIGHBORHOOD", "Issaquah, WA"), // case-insensitive attr
+		NewIn("neighborhood"),                 // empty IN list
+		NewIn("missing", "x"),                 // unknown attribute
+		NewIn("price", "200000"),              // type mismatch
+		NewRange("price", 210000, 300000),
+		NewClosedRange("price", 210000, 300000),
+		NewRange("price", math.Inf(-1), 250000),
+		NewClosedRange("price", 250000, math.Inf(1)),
+		NewClosedRange("price", 300000, 200000), // empty interval
+		NewClosedRange("bedrooms", 2, 4),
+		NewRange("missing", 0, 1),
+		NewRange("neighborhood", 0, 1), // type mismatch
+		NewAnd(NewIn("neighborhood", "Seattle, WA", "Redmond, WA"), NewClosedRange("price", 220000, 340000)),
+		NewAnd(NewIn("neighborhood", "Seattle, WA"), NewClosedRange("price", 220000, 340000), NewClosedRange("bedrooms", 1, 3)),
+		NewAnd(), // empty conjunction = TRUE
+		NewAnd(True{}, NewClosedRange("bedrooms", 2, 2)),
+		NewAnd(NewRange("price", 200000, 260000), NewRange("price", 240000, 320000)), // same attr twice
 	}
+	for _, pred := range preds {
+		want := r.want(pred)
+		for pass := 0; pass < 2; pass++ {
+			sameRows(t, r.vectorSelect(pred), want, pred.String())
+			sameRows(t, r.Select(pred), want, "Select: "+pred.String())
+		}
+	}
+	// True alone goes through Select's nil-free path too.
+	sameRows(t, r.Select(True{}), r.want(True{}), "TRUE")
 }
 
-// TestVectorSelectFallback pins the fallback rule: a predicate kind the
-// engine does not know must be rejected and answered by the row-wise scan.
-type oddPred struct{}
-
-func (oddPred) Matches(s *Schema, t Tuple) bool { return false }
-func (oddPred) String() string                  { return "ODD" }
-
-func TestVectorSelectFallback(t *testing.T) {
-	r := relationOfSize(50, 3)
-	if _, ok := r.vectorSelect(oddPred{}); ok {
-		t.Fatal("vectorSelect accepted an unknown predicate kind")
+func TestSelectResultsSorted(t *testing.T) {
+	r := relationOfSize(500, 7)
+	pred := NewAnd(NewIn("neighborhood", "Seattle, WA", "Bellevue, WA"), NewRange("price", 220000, 380000))
+	got := r.Select(pred)
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("select not in ascending row order at %d: %v", i, got[:i+1])
+		}
 	}
-	if _, ok := r.vectorSelect(NewAnd(NewIn("neighborhood", "Seattle, WA"), oddPred{})); ok {
-		t.Fatal("vectorSelect accepted a conjunction containing an unknown kind")
-	}
-	before := r.SelectStats().Fallback
-	if got := r.Select(oddPred{}); len(got) != 0 {
-		t.Fatalf("fallback select = %v", got)
-	}
-	if after := r.SelectStats().Fallback; after != before+1 {
-		t.Fatalf("fallback counter %d -> %d", before, after)
-	}
+	sameRows(t, got, r.want(pred), "sorted select")
 }
 
 // TestConjunctCacheHitMissEviction exercises the bounded LRU: repeated
@@ -172,7 +126,7 @@ func TestVectorSelectFallback(t *testing.T) {
 func TestConjunctCacheHitMissEviction(t *testing.T) {
 	r := relationOfSize(300, 5)
 	pred := NewAnd(NewIn("neighborhood", "Seattle, WA"), NewClosedRange("price", 210000, 320000))
-	want := selectReference(r, pred)
+	want := r.want(pred)
 
 	sameRows(t, r.Select(pred), want, "cold")
 	s := r.SelectStats()
@@ -211,15 +165,13 @@ func TestConjunctCacheHitMissEviction(t *testing.T) {
 }
 
 // TestAppendExtendsEverything is the incremental-maintenance regression
-// test (DESIGN.md §14): Append must bump the data generation but must NOT
-// drop projections, indexes, the identity list, or cached conjunct bitmaps
-// — every derived artifact extends over just the appended rows on its next
-// read, and results stay exactly correct.
+// test (DESIGN.md §14): Append must advance the data generation but must
+// NOT drop the identity list or cached conjunct bitmaps — every derived
+// artifact extends over just the appended rows on its next read, column
+// snapshots taken before the append stay as they were, and results stay
+// exactly correct.
 func TestAppendExtendsEverything(t *testing.T) {
 	r := relationOfSize(120, 9)
-	if err := r.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
 	pred := NewAnd(NewIn("neighborhood", "Bellevue, WA"), NewClosedRange("price", 200000, 400000))
 	id := r.Select(nil)
 	if len(id) != 120 {
@@ -234,21 +186,25 @@ func TestAppendExtendsEverything(t *testing.T) {
 		t.Fatal("conjunct cache empty after select")
 	}
 	gen := r.DataGeneration()
+	before, err := r.CatColumn("neighborhood")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	r.MustAppend(Tuple{StringValue("Bellevue, WA"), NumberValue(250000), NumberValue(3)})
+	r.add(Tuple{StringValue("Bellevue, WA"), NumberValue(250000), NumberValue(3)})
 
 	if r.DataGeneration() != gen+1 {
 		t.Fatalf("data generation %d, want %d", r.DataGeneration(), gen+1)
 	}
-	if !r.Indexed("price") || !r.Indexed("neighborhood") {
-		t.Fatal("Append must not drop secondary indexes")
+	if len(before.Codes) != 120 {
+		t.Fatalf("snapshot taken before the append grew to %d codes", len(before.Codes))
 	}
-	col := r.catColumnIfBuilt(0)
-	if col == nil {
-		t.Fatal("Append must not drop columnar projections")
+	col, err := r.CatColumn("neighborhood")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(col.Codes) != 121 {
-		t.Fatalf("projection not extended over the appended row: %d codes", len(col.Codes))
+	if len(col.Codes) != 121 || col.Value(120) != "Bellevue, WA" {
+		t.Fatalf("column not extended over the appended row: %d codes", len(col.Codes))
 	}
 	if s := r.SelectStats(); s.ConjunctEntries != entries {
 		t.Fatalf("Append must keep conjunct bitmaps for extension: %d entries, want %d", s.ConjunctEntries, entries)
@@ -262,7 +218,7 @@ func TestAppendExtendsEverything(t *testing.T) {
 	}
 	// Correctness after the mutation: the cached conjuncts must extend (not
 	// rebuild, not miss) and cover the appended matching row.
-	want := selectReference(r, pred)
+	want := r.want(pred)
 	if want[len(want)-1] != 120 {
 		t.Fatal("test setup: appended row should match the predicate")
 	}
@@ -272,44 +228,34 @@ func TestAppendExtendsEverything(t *testing.T) {
 		t.Fatalf("stale conjuncts should extend, got %d extensions (was %d): %+v", s.ConjunctExtended, ext, s)
 	}
 	sameRows(t, r.Select(pred), want, "post-append warm")
-	if err := r.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, r.Select(pred), want, "post-append post-rebuild")
 }
 
-// TestDistinctStringsDictionaryPath checks the code-presence fast path
-// against the map fallback, including subset idx lists.
+// TestDistinctStringsDictionaryPath checks the code-presence computation
+// against a map over the appended tuples, including subset idx lists.
 func TestDistinctStringsDictionaryPath(t *testing.T) {
 	r := relationOfSize(200, 13)
-	idx := []int{0, 5, 9, 44, 101, 150, 199}
-	slow, err := r.DistinctStrings("neighborhood", idx) // no column yet: map path
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.CatColumn("neighborhood"); err != nil {
-		t.Fatal(err)
-	}
-	fast, err := r.DistinctStrings("neighborhood", idx) // dictionary path
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(slow, fast) {
-		t.Fatalf("dictionary path %v != map path %v", fast, slow)
-	}
-	all, err := r.DistinctStrings("neighborhood", r.Select(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i] <= all[i-1] {
-			t.Fatalf("distinct values not sorted: %v", all)
+	for _, idx := range [][]int{{0, 5, 9, 44, 101, 150, 199}, r.Select(nil), {}} {
+		seen := map[string]bool{}
+		for _, i := range idx {
+			seen[r.rows[i][0].Str] = true
+		}
+		want := make([]string, 0, len(seen))
+		for v := range seen {
+			want = append(want, v)
+		}
+		sort.Strings(want)
+		got, err := r.DistinctStrings("neighborhood", idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("DistinctStrings = %v, want %v", got, want)
 		}
 	}
-	if _, err := r.DistinctStrings("price", idx); err == nil {
+	if _, err := r.DistinctStrings("price", []int{0}); err == nil {
 		t.Fatal("numeric attribute must error")
 	}
-	if _, err := r.DistinctStrings("nope", idx); err == nil {
+	if _, err := r.DistinctStrings("nope", []int{0}); err == nil {
 		t.Fatal("missing attribute must error")
 	}
 }
@@ -344,7 +290,7 @@ func TestChunkScanParallel(t *testing.T) {
 	// And the engine stays correct when scans actually fan out.
 	r := relationOfSize(parallelScanRows+500, 17)
 	pred := NewAnd(NewIn("neighborhood", "Seattle, WA", "Redmond, WA"), NewClosedRange("price", 220000, 340000))
-	sameRows(t, r.Select(pred), selectReference(r, pred), "parallel scan")
+	sameRows(t, r.Select(pred), r.want(pred), "parallel scan")
 }
 
 // TestVectorSelectConcurrent hammers one relation from several goroutines —
@@ -364,7 +310,7 @@ func TestVectorSelectConcurrent(t *testing.T) {
 	}
 	wants := make([][]int, len(preds))
 	for i, p := range preds {
-		wants[i] = selectReference(r, p)
+		wants[i] = r.want(p)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

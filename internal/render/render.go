@@ -92,7 +92,6 @@ func TreeString(t *category.Tree, opts TreeOptions) string {
 // attributes (location, price, and size columns first when present).
 func RowString(r *relation.Relation, row int) string {
 	s := r.Schema()
-	t := r.Row(row)
 	parts := make([]string, 0, 6)
 	limit := s.Len()
 	if limit > 6 {
@@ -101,9 +100,9 @@ func RowString(r *relation.Relation, row int) string {
 	for i := 0; i < limit; i++ {
 		a := s.Attr(i)
 		if a.Type == relation.Categorical {
-			parts = append(parts, fmt.Sprintf("%s=%s", a.Name, t[i].Str))
+			parts = append(parts, fmt.Sprintf("%s=%s", a.Name, r.Cell(row, i).Str))
 		} else {
-			parts = append(parts, fmt.Sprintf("%s=%g", a.Name, t[i].Num))
+			parts = append(parts, fmt.Sprintf("%s=%g", a.Name, r.Cell(row, i).Num))
 		}
 	}
 	if s.Len() > limit {

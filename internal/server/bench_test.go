@@ -13,8 +13,6 @@ import (
 
 // Serving-path benchmarks over httptest: the full HTTP round trip including
 // JSON decode, serve (cache hit or categorize), tree render, and encode.
-// `make servebench` folds these with cmd/catload's load-test lines into
-// BENCH_serve.json.
 
 var (
 	benchOnce sync.Once

@@ -149,7 +149,7 @@ func (s *System) RepairStats() RepairStats {
 }
 
 // SelectStats is a point-in-time snapshot of the relation's selection
-// counters: vectorized vs fallback path counts, cumulative selection time,
+// counters: select counts, cumulative selection time,
 // and the conjunct-bitmap cache's hit/miss/occupancy (DESIGN.md §9).
 type SelectStats = relation.SelectStats
 
