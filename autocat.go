@@ -370,14 +370,16 @@ func (r *Result) CategorizeCtx(ctx context.Context, tech Technique, opts Options
 			func(cctx context.Context, stale served, haveStale bool) (served, int64, bool, error) {
 				if haveStale {
 					if tree, ok := r.sys.repairFromStale(cctx, r.Query, stale, tech, opts); ok {
-						return served{tree, DegradeNone, r.sys.stats}, treeBytes(tree) + tree.TraceBytes(), true, nil
+						v := served{tree: tree, stats: r.sys.stats}
+						return v, v.bytes(), true, nil
 					}
 				}
 				tree, err := r.sys.buildTree(cctx, r.Query, r.Rows, tech, opts)
 				if err != nil {
 					return served{}, 0, false, err
 				}
-				return served{tree, DegradeNone, r.sys.stats}, treeBytes(tree) + tree.TraceBytes(), false, nil
+				v := served{tree: tree, stats: r.sys.stats}
+				return v, v.bytes(), false, nil
 			})
 		return v.tree, err
 	}

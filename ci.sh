@@ -54,6 +54,17 @@ go test -race ./internal/category ./internal/relation ./internal/sqlparse \
 step "benchmark module: perfbench compiles against the current API and its tests pass"
 (cd perfbench && go test ./...)
 
+step "perfbench hot smoke: every served body equals the uncached reference server's"
+hot=$(bash perfbench/run.sh --workload hot --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$hot"
+case $hot in
+*'"correct":true'*'"failed":0,'*) ;;
+*)
+    echo "ci.sh: the hot smoke run reported failed operations" >&2
+    exit 1
+    ;;
+esac
+
 step "shard-parallel equivalence + concurrent append under race"
 race_run 'TestShard|TestConcurrentCategorizeAppend' \
     ./internal/category ./internal/relation

@@ -15,6 +15,7 @@ package category
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -69,18 +70,16 @@ func (l Label) Predicate() relation.Predicate {
 func (l Label) String() string {
 	switch l.Kind {
 	case LabelValue:
-		return fmt.Sprintf("%s: %s", l.Attr, l.Value)
+		return l.Attr + ": " + l.Value
 	case LabelValueSet:
 		if len(l.Values) <= 3 {
-			return fmt.Sprintf("%s: %s", l.Attr, strings.Join(l.Values, ", "))
+			return l.Attr + ": " + strings.Join(l.Values, ", ")
 		}
-		return fmt.Sprintf("%s: Other (%d values)", l.Attr, len(l.Values))
+		return l.Attr + ": Other (" + strconv.Itoa(len(l.Values)) + " values)"
 	case LabelRange:
-		dash := "-"
-		if l.HiInc {
-			dash = "-" // rendering is identical; inclusivity shows in Predicate
-		}
-		return fmt.Sprintf("%s: %s%s%s", l.Attr, fmtLabelNum(l.Lo), dash, fmtLabelNum(l.Hi))
+		// Open and closed upper bounds render alike; inclusivity shows in
+		// Predicate.
+		return l.Attr + ": " + fmtLabelNum(l.Lo) + "-" + fmtLabelNum(l.Hi)
 	default:
 		return "ALL"
 	}
@@ -94,9 +93,9 @@ func fmtLabelNum(v float64) string {
 		return "max"
 	}
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Node is one category. Children are ordered: the exploration models assume

@@ -157,8 +157,9 @@ func TestServedJSONCacheInvisible(t *testing.T) {
 
 // TestGoldenServedJSON pins the served JSON at the HTTP layer — the
 // externally visible contract of the serving path — across representative
-// request shapes. Regenerate with -update-golden only for intentional
-// behaviour changes.
+// request shapes, each /v1/query shape through a miss, the first hit (which
+// stores the body) and a stored-body hit. Regenerate with -update-golden only
+// for intentional behaviour changes.
 func TestGoldenServedJSON(t *testing.T) {
 	hs := newServeServer(t, Config{System: newServeSystem(t, true), MaxDepth: 3, MaxChildren: 6})
 
@@ -179,6 +180,19 @@ func TestGoldenServedJSON(t *testing.T) {
 		resp, body := postJSON(t, hs.URL+sc.path, sc.body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", sc.name, resp.StatusCode, body)
+		}
+		if sc.path == "/v1/query" {
+			// The first request may miss; the second hit renders and stores
+			// the body, the third writes the stored body. All three agree.
+			for rep := 2; rep <= 3; rep++ {
+				resp, again := postJSON(t, hs.URL+sc.path, sc.body)
+				if got := resp.Header.Get("X-Cache"); got != "hit" {
+					t.Errorf("%s request %d: X-Cache = %q; want hit", sc.name, rep, got)
+				}
+				if !bytes.Equal(again, body) {
+					t.Fatalf("%s request %d: body differs from request 1\ngot:  %s\nwant: %s", sc.name, rep, again, body)
+				}
+			}
 		}
 		got[sc.name] = json.RawMessage(bytes.TrimSpace(body))
 	}
@@ -376,5 +390,130 @@ func TestClientCancellation(t *testing.T) {
 		if rec.Code != StatusClientClosedRequest {
 			t.Errorf("cached=%v: status = %d; want %d", cachedSys, rec.Code, StatusClientClosedRequest)
 		}
+	}
+}
+
+// TestStoredBodyUnderVariedBounds interleaves render bounds on one cached
+// query: the first hit stores the body for its bounds, hits under other
+// bounds render, and every body — stored or rendered — matches an uncached
+// server byte for byte.
+func TestStoredBodyUnderVariedBounds(t *testing.T) {
+	sys := newServeSystem(t, true)
+	cached := newServeServer(t, Config{System: sys})
+	uncached := newServeServer(t, Config{System: newServeSystem(t, false)})
+
+	for round := 0; round < 3; round++ {
+		for _, depth := range []int{1, 2, 3} {
+			for _, children := range []int{2, 8} {
+				req := queryRequest{SQL: spellings[0], MaxDepth: depth, MaxChildren: children}
+				respC, bodyC := postJSON(t, cached.URL+"/v1/query", req)
+				respU, bodyU := postJSON(t, uncached.URL+"/v1/query", req)
+				if respC.StatusCode != http.StatusOK || respU.StatusCode != http.StatusOK {
+					t.Fatalf("depth %d children %d: status cached=%d uncached=%d", depth, children, respC.StatusCode, respU.StatusCode)
+				}
+				if !bytes.Equal(bodyC, bodyU) {
+					t.Fatalf("round %d depth %d children %d: cached body differs\ncached:   %s\nuncached: %s", round, depth, children, bodyC, bodyU)
+				}
+				if got, want := respC.Header.Get("Content-Length"), fmt.Sprint(len(bodyC)); got != want {
+					t.Errorf("Content-Length = %q; want %s", got, want)
+				}
+			}
+		}
+	}
+
+	// The miss rendered under (1, 2) and stored nothing; the first hit,
+	// under (1, 8), stored its body, and no later bounds displaced it.
+	q, err := repro.ParseQuery(spellings[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, ok := sys.Peek(q, repro.CostBased, repro.Options{})
+	if !ok {
+		t.Fatal("query not cached")
+	}
+	if _, ok := out.Body(repro.RenderBounds{MaxDepth: 1, MaxChildren: 8}); !ok {
+		t.Error("the first hit's body is not the stored one")
+	}
+	for _, b := range []repro.RenderBounds{{MaxDepth: 1, MaxChildren: 2}, {MaxDepth: 3, MaxChildren: 8}} {
+		if _, ok := out.Body(b); ok {
+			t.Errorf("a body is stored for %+v; want only the first hit's", b)
+		}
+	}
+}
+
+// TestStoredBodyFirstHitRace races many clients on the first hit of one
+// entry — each may render, one body is stored — and requires every response
+// to equal the uncached server's. Run under -race it exercises concurrent
+// Peek and Replace on the entry.
+func TestStoredBodyFirstHitRace(t *testing.T) {
+	cached := newServeServer(t, Config{System: newServeSystem(t, true), MaxDepth: 3, MaxChildren: 8})
+	uncached := newServeServer(t, Config{System: newServeSystem(t, false), MaxDepth: 3, MaxChildren: 8})
+	req := queryRequest{SQL: spellings[1]}
+	_, want := postJSON(t, uncached.URL+"/v1/query", req)
+	if resp, _ := postJSON(t, cached.URL+"/v1/query", req); resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("priming request X-Cache = %q; want miss", resp.Header.Get("X-Cache"))
+	}
+
+	const clients = 16
+	bodies := make([][]byte, clients)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			// Two requests each: the first races the store, the second
+			// reads whatever won.
+			for rep := 0; rep < 2; rep++ {
+				resp, body := postJSONerr(cached.URL+"/v1/query", req)
+				if resp == nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d: failed request (%v)", i, resp)
+					return
+				}
+				if rep > 0 && !bytes.Equal(body, bodies[i]) {
+					t.Errorf("client %d: second body differs from its first", i)
+				}
+				bodies[i] = body
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, body := range bodies {
+		if !bytes.Equal(body, want) {
+			t.Fatalf("client %d: body differs from the uncached server\ngot:  %s\nwant: %s", i, body, want)
+		}
+	}
+}
+
+// TestStoredBodyHitAllocs pins the allocation count of a stored-body hit
+// through Handler(): request decode, parse, signature, cache key and probe,
+// headers, and one write of the stored bytes. Rendering the tree on every hit
+// cost about 460.
+func TestStoredBodyHitAllocs(t *testing.T) {
+	srv, err := New(Config{System: newServeSystem(t, true), MaxDepth: 3, MaxChildren: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(queryRequest{SQL: spellings[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *httptest.ResponseRecorder
+	serve := func() {
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(raw)))
+	}
+	serve() // miss
+	serve() // first hit: renders and stores the body
+	want := rec.Body.String()
+	allocs := testing.AllocsPerRun(50, serve)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "hit" || rec.Body.String() != want {
+		t.Fatalf("stored-body hit: status %d, X-Cache %q, body equal %v", rec.Code, rec.Header().Get("X-Cache"), rec.Body.String() == want)
+	}
+	t.Logf("stored-body hit: %.0f allocations", allocs)
+	if allocs > 100 {
+		t.Errorf("stored-body hit allocates %.0f times; want at most 100", allocs)
 	}
 }

@@ -12,11 +12,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -177,10 +179,32 @@ type apiError struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := renderJSON(v)
+	if err != nil {
+		status, body = http.StatusInternalServerError, []byte("{\"error\":\"response encoding failed\"}\n")
+	}
+	writeBody(w, status, body)
+}
+
+// renderJSON renders a response body: exactly the bytes json.Encoder.Encode
+// writes for v, trailing newline included. Every JSON response goes through
+// it, including the /v1/query bodies a tree-cache entry stores.
+func renderJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// writeBody writes a rendered JSON body with its Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	// Encoding errors past the header cannot be reported to the client.
-	_ = json.NewEncoder(w).Encode(v)
+	// Write errors past the header cannot be reported to the client.
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
@@ -399,21 +423,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tree := out.Tree
+	sys := s.currentSystem()
+	bounds := repro.RenderBounds{
+		MaxDepth:    boundOrDefault(req.MaxDepth, s.cfg.MaxDepth),
+		MaxChildren: boundOrDefault(req.MaxChildren, s.cfg.MaxChildren),
+	}
+	// A hit whose entry already holds the body for these bounds writes it
+	// as is; otherwise render, and a hit stores what it rendered.
+	body, stored := out.Body(bounds)
+	if !stored {
+		tree := out.Tree
+		body, err = renderJSON(queryResponse{
+			ResultCount: tree.Root.Size(),
+			Levels:      tree.LevelAttrs,
+			EstCostAll:  repro.EstimateCostAll(tree),
+			EstCostOne:  repro.EstimateCostOne(tree, 0.5),
+			Categories:  tree.NodeCount(),
+			Degraded:    out.Degraded.String(),
+			Tree:        toJSONTree(tree.Root, nil, bounds.MaxDepth, bounds.MaxChildren),
+		})
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "encode response: %v", err)
+			return
+		}
+		sys.StoreBody(out, bounds, body)
+	}
 	setCacheHeader(w, out.Hit)
 	setDegradedHeader(w, out.Degraded)
-	setStorageHeader(w, s.currentSystem())
-	maxDepth := boundOrDefault(req.MaxDepth, s.cfg.MaxDepth)
-	maxChildren := boundOrDefault(req.MaxChildren, s.cfg.MaxChildren)
-	writeJSON(w, http.StatusOK, queryResponse{
-		ResultCount: tree.Root.Size(),
-		Levels:      tree.LevelAttrs,
-		EstCostAll:  repro.EstimateCostAll(tree),
-		EstCostOne:  repro.EstimateCostOne(tree, 0.5),
-		Categories:  tree.NodeCount(),
-		Degraded:    out.Degraded.String(),
-		Tree:        toJSONTree(tree.Root, nil, maxDepth, maxChildren),
-	})
+	setStorageHeader(w, sys)
+	writeBody(w, http.StatusOK, body)
 }
 
 // serveTree is the resilient serving path shared by /v1/query and
@@ -423,11 +461,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // the error response and reports ok = false.
 func (s *Server) serveTree(w http.ResponseWriter, r *http.Request, q *repro.Query, tech repro.Technique, opts repro.Options, timeoutMs int, learn bool, fallback int) (repro.ServeOutcome, bool) {
 	sys := s.currentSystem()
-	if tree, ok := sys.Peek(q, tech, opts); ok {
+	if out, ok := sys.Peek(q, tech, opts); ok {
 		if learn && s.adaptive != nil && !s.draining.Load() {
 			s.adaptive.LearnQuery(q)
 		}
-		return repro.ServeOutcome{Tree: tree, Hit: true}, true
+		return out, true
 	}
 	ctx := r.Context()
 	deadline := tightest(s.cfg.Deadline, time.Duration(timeoutMs)*time.Millisecond)

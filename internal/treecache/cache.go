@@ -85,10 +85,11 @@ type Cache[V any] struct {
 }
 
 type entry[V any] struct {
-	key  string
-	base string // generation-free prefix of key; "" when untracked
-	val  V
-	size int64
+	key      string
+	base     string // generation-free prefix of key; "" when untracked
+	val      V
+	size     int64
+	replaced bool // val came from Replace (one per stored value)
 }
 
 // call is one in-flight computation. refs counts the waiters (including the
@@ -263,6 +264,27 @@ func (c *Cache[V]) wait(ctx context.Context, cl *call[V]) (V, bool, error) {
 	}
 }
 
+// Replace swaps the stored value of a resident key for val, whose
+// approximate size is size bytes: the size change is charged to the byte
+// bound, the entry moves to the hot end, and colder entries are evicted until
+// the bounds hold again. It is for enriching a stored value once, so the
+// first Replace after the value was stored wins: a later one — say from a
+// caller that raced the first with a value read before it — is a no-op. A
+// key that is not resident (never inserted, or evicted since the caller read
+// it) stays absent: a replaced value never brings an evicted entry back.
+// Replace counts neither a hit nor a miss.
+func (c *Cache[V]) Replace(key string, val V, size int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.table[key]
+	if !ok || el.Value.(*entry[V]).replaced {
+		return
+	}
+	e := el.Value.(*entry[V])
+	c.insertLocked(key, e.base, val, size)
+	e.replaced = true
+}
+
 // insertLocked stores the value and evicts from the cold end until the
 // bounds hold again. The newest entry survives even when it alone exceeds
 // MaxBytes: evicting what was just computed would thrash. A disabled cache
@@ -271,10 +293,10 @@ func (c *Cache[V]) insertLocked(key, base string, val V, size int64) {
 	if c.cfg.MaxEntries <= 0 && c.cfg.MaxBytes <= 0 {
 		return
 	}
-	if el, ok := c.table[key]; ok { // raced insert of the same key
-		c.bytes += size - el.Value.(*entry[V]).size
-		el.Value.(*entry[V]).val = val
-		el.Value.(*entry[V]).size = size
+	if el, ok := c.table[key]; ok { // raced insert of the same key, or Replace
+		e := el.Value.(*entry[V])
+		c.bytes += size - e.size
+		e.val, e.size, e.replaced = val, size, false
 		c.ll.MoveToFront(el)
 	} else {
 		el := c.ll.PushFront(&entry[V]{key: key, base: base, val: val, size: size})

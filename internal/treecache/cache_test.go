@@ -385,3 +385,53 @@ func waitJoined(t *testing.T, c *Cache[int], n uint64) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestReplace: Replace charges the size change to the byte bound, evicts
+// colder entries until the bound holds, takes effect once per stored value,
+// leaves an absent key absent, and counts neither hits nor misses.
+func TestReplace(t *testing.T) {
+	c := New[string](Config{MaxBytes: 100})
+	for _, k := range []string{"a", "b", "c"} {
+		c.Do(bg(), k, func(context.Context) (string, int64, error) { return k, 30, nil })
+	}
+	before := c.Stats()
+	c.Replace("c", "c+10", 40)
+	s := c.Stats()
+	if s.Bytes != before.Bytes+10 || s.Entries != 3 {
+		t.Fatalf("after growing c by 10: %+v; want bytes %d, 3 entries", s, before.Bytes+10)
+	}
+	if s.Hits != before.Hits || s.Misses != before.Misses {
+		t.Fatalf("Replace counted a lookup: before %+v, after %+v", before, s)
+	}
+
+	// Growing b past the bound (30+50+40 bytes) evicts a, the coldest
+	// entry, and keeps the entry just replaced.
+	c.Replace("b", "b+20", 50)
+	s = c.Stats()
+	if s.Bytes != 90 || s.Evictions != 1 || s.Entries != 2 {
+		t.Fatalf("after growing b past the bound: %+v; want 90 bytes, 1 eviction, 2 entries", s)
+	}
+	if v, ok := c.Get("b"); !ok || v != "b+20" {
+		t.Fatalf("Get(b) = %q, %v; want the replaced value", v, ok)
+	}
+
+	// The first Replace of a stored value wins; a second is a no-op.
+	c.Replace("b", "b again", 60)
+	if v, _ := c.Get("b"); v != "b+20" || c.Stats().Bytes != 90 {
+		t.Fatalf("second Replace of b took effect: value %q, %+v", v, c.Stats())
+	}
+
+	// An evicted key and a never-inserted key stay absent.
+	before = c.Stats()
+	c.Replace("a", "a+body", 10)
+	c.Replace("never", "x", 10)
+	if s := c.Stats(); s.Entries != before.Entries || s.Bytes != before.Bytes || s.Hits != before.Hits || s.Misses != before.Misses {
+		t.Fatalf("Replace of absent keys changed the cache: before %+v, after %+v", before, s)
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("Replace brought an evicted entry back")
+	}
+	if _, ok := c.Get("never"); ok {
+		t.Fatal("Replace inserted a key that was never cached")
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"strings"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -53,6 +53,25 @@ type ServeOutcome struct {
 	Tree     *Tree
 	Hit      bool
 	Degraded Degradation
+	// key and entry name the cache entry a hit was served from, so the
+	// caller can reuse (Body) or attach (StoreBody) a rendered response.
+	key   string
+	entry served
+}
+
+// RenderBounds are the depth and width bounds a response body was rendered
+// under (0 = unbounded). Together with the cache key they determine the body.
+type RenderBounds struct {
+	MaxDepth, MaxChildren int
+}
+
+// Body returns the response body stored on the hit's cache entry, when one
+// was rendered under bounds.
+func (o ServeOutcome) Body(bounds RenderBounds) ([]byte, bool) {
+	if !o.Hit || o.entry.body == nil || o.entry.bounds != bounds {
+		return nil, false
+	}
+	return o.entry.body, true
 }
 
 // served is the tree cache's value type: the tree plus its degradation rung,
@@ -61,11 +80,21 @@ type ServeOutcome struct {
 // inserted). stats pins the immutable statistics snapshot the tree was built
 // under: when a later generation finds this entry stale, diffing that snapshot
 // against the current one decides whether the tree can be repaired in place
-// (DESIGN.md §13).
+// (DESIGN.md §13). body is the response rendered from tree under bounds, once
+// a hit stores one (StoreBody); a stored value is never mutated, a body is
+// attached by replacing the whole value.
 type served struct {
-	tree  *Tree
-	deg   Degradation
-	stats *workload.Stats
+	tree   *Tree
+	deg    Degradation
+	stats  *workload.Stats
+	body   []byte
+	bounds RenderBounds
+}
+
+// bytes approximates the value's resident size for the cache's byte bound:
+// the tree, its repair trace, and the stored body.
+func (v served) bytes() int64 {
+	return treeBytes(v.tree) + v.tree.TraceBytes() + int64(len(v.body))
 }
 
 // errSoftBudget is the cancellation cause of a degradation step's soft
@@ -242,11 +271,13 @@ func (s *System) ServeParsedWith(ctx context.Context, q *Query, tech Technique, 
 		}
 		return ServeOutcome{Tree: tree, Degraded: deg}, nil
 	}
-	v, hit, err := s.cache.DoStale(ctx, s.cacheKey(q, tech, opts), s.cacheBaseKey(q, tech, opts),
+	key := s.cacheKey(q, tech, opts)
+	v, hit, err := s.cache.DoStale(ctx, key, s.cacheBaseKey(q, tech, opts),
 		func(cctx context.Context, stale served, haveStale bool) (served, int64, bool, error) {
 			if haveStale {
 				if tree, ok := s.repairFromStale(cctx, q, stale, tech, opts); ok {
-					return served{tree, DegradeNone, s.stats}, treeBytes(tree) + tree.TraceBytes(), true, nil
+					v := served{tree: tree, stats: s.stats}
+					return v, v.bytes(), true, nil
 				}
 			}
 			rows := s.staleRows(q, stale, haveStale)
@@ -254,17 +285,22 @@ func (s *System) ServeParsedWith(ctx context.Context, q *Query, tech Technique, 
 			if err != nil {
 				return served{}, 0, false, err
 			}
+			v := served{tree: tree, deg: deg, stats: s.stats}
 			if deg != DegradeNone {
 				// A degraded tree is an overload artifact, not the query's true
 				// categorization: hand it to the waiters, store nothing.
-				return served{tree, deg, s.stats}, -1, false, nil
+				return v, -1, false, nil
 			}
-			return served{tree, deg, s.stats}, treeBytes(tree) + tree.TraceBytes(), false, nil
+			return v, v.bytes(), false, nil
 		})
 	if err != nil {
 		return out, mapDeadlineErr(ctx, err)
 	}
-	return ServeOutcome{Tree: v.tree, Hit: hit, Degraded: v.deg}, nil
+	out = ServeOutcome{Tree: v.tree, Hit: hit, Degraded: v.deg}
+	if hit {
+		out.key, out.entry = key, v
+	}
+	return out, nil
 }
 
 // staleRows returns the result rows for a cache-miss build. A stale entry's
@@ -317,17 +353,37 @@ func (s *System) repairFromStale(ctx context.Context, q *Query, stale served, te
 	return tree, true
 }
 
-// Peek returns the memoized full-fidelity tree for q if one is stored,
-// computing nothing. This is the admission-control bypass: a cache hit costs
-// no categorization, so the server needn't spend a concurrency slot on it.
-func (s *System) Peek(q *Query, tech Technique, opts Options) (*Tree, bool) {
+// Peek returns the memoized full-fidelity tree for q as a hit outcome if one
+// is stored, computing nothing; the outcome also carries the entry's stored
+// response body (ServeOutcome.Body). This is the admission-control bypass: a
+// cache hit costs no categorization, so the server needn't spend a
+// concurrency slot on it.
+func (s *System) Peek(q *Query, tech Technique, opts Options) (ServeOutcome, bool) {
 	if q == nil || !s.cache.Enabled() {
-		return nil, false
+		return ServeOutcome{}, false
 	}
-	if v, ok := s.cache.Get(s.cacheKey(q, tech, opts)); ok {
-		return v.tree, true
+	key := s.cacheKey(q, tech, opts)
+	if v, ok := s.cache.Get(key); ok {
+		return ServeOutcome{Tree: v.tree, Hit: true, key: key, entry: v}, true
 	}
-	return nil, false
+	return ServeOutcome{}, false
+}
+
+// StoreBody attaches body, the response rendered from o.Tree under bounds, to
+// the cache entry the hit o was served from, so later hits rendered under the
+// same bounds can write it without walking the tree. The body is a pure
+// function of the cache key (which carries the stats and data generations)
+// and the bounds. One body is kept per entry: an entry that already holds one
+// keeps it, whatever its bounds, so alternating bounds cannot thrash the
+// slot. Misses store nothing, and an entry evicted since o was served stays
+// evicted. The body's bytes are charged to the cache's byte bound.
+func (s *System) StoreBody(o ServeOutcome, bounds RenderBounds, body []byte) {
+	if !o.Hit || o.entry.body != nil {
+		return
+	}
+	v := o.entry
+	v.body, v.bounds = body, bounds
+	s.cache.Replace(o.key, v, v.bytes())
 }
 
 // mapDeadlineErr tags a context error caused by the server-imposed deadline
@@ -481,7 +537,9 @@ func (s *System) buildTree(ctx context.Context, q *Query, rows []int, tech Techn
 // excluded: the built tree is byte-identical at every shard count (§12), so
 // keying on it would only fork the cache into redundant copies.
 func (s *System) cacheKey(q *Query, tech Technique, opts Options) string {
-	return fmt.Sprintf("%s\x1e%d", s.cacheBaseKey(q, tech, opts), s.gen)
+	b := s.appendBaseKey(make([]byte, 0, 192), q, tech, opts)
+	b = append(b, '\x1e')
+	return string(strconv.AppendUint(b, s.gen, 10))
 }
 
 // cacheBaseKey is the generation-free prefix of cacheKey: everything that
@@ -493,14 +551,42 @@ func (s *System) cacheKey(q *Query, tech Technique, opts Options) string {
 // the base: a tree built before an Append categorizes different rows and can
 // repair nothing.
 func (s *System) cacheBaseKey(q *Query, tech Technique, opts Options) string {
+	return string(s.appendBaseKey(make([]byte, 0, 192), q, tech, opts))
+}
+
+// appendBaseKey appends the base key to b: signature, options fingerprint
+// and data generation, separated by \x1e. The fingerprint is the FNV-1a hash
+// of the option fields joined by '|' — spelled into b's spare capacity first,
+// then overwritten by the key itself.
+func (s *System) appendBaseKey(b []byte, q *Query, tech Technique, opts Options) []byte {
+	n := len(b)
+	f := strconv.AppendInt(b, int64(tech), 10)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.M), 10)
+	f = append(append(f, '|'), relation.SigNum(opts.K)...)
+	f = append(append(f, '|'), relation.SigNum(opts.X)...)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.MaxBuckets), 10)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.MinBucket), 10)
+	f = append(append(f, '|'), relation.SigNum(opts.Frac)...)
+	f = strconv.AppendBool(append(f, '|'), opts.AutoBuckets)
+	f = strconv.AppendBool(append(f, '|'), opts.EquiDepth)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.MaxZeroCandidates), 10)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.MaxLevels), 10)
+	f = strconv.AppendBool(append(f, '|'), opts.Parallel)
+	f = strconv.AppendBool(append(f, '|'), opts.CandidateAttrs != nil)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.MaxCategories), 10)
+	f = strconv.AppendInt(append(f, '|'), int64(opts.MinCondSupport), 10)
+	f = append(f, '|')
+	for i, a := range opts.CandidateAttrs {
+		if i > 0 {
+			f = append(f, '\x1f')
+		}
+		f = append(f, a...)
+	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%s|%d|%d|%s|%t|%t|%d|%d|%t|%t|%d|%d|%s",
-		tech, opts.M, relation.SigNum(opts.K), relation.SigNum(opts.X),
-		opts.MaxBuckets, opts.MinBucket, relation.SigNum(opts.Frac),
-		opts.AutoBuckets, opts.EquiDepth, opts.MaxZeroCandidates, opts.MaxLevels,
-		opts.Parallel, opts.CandidateAttrs != nil, opts.MaxCategories, opts.MinCondSupport,
-		strings.Join(opts.CandidateAttrs, "\x1f"))
-	return fmt.Sprintf("%s\x1e%x\x1e%d", q.Signature(), h.Sum64(), s.rel.DataGeneration())
+	h.Write(f[n:]) // a hash.Hash never returns a write error
+	b = append(f[:n], q.Signature()...)
+	b = strconv.AppendUint(append(b, '\x1e'), h.Sum64(), 16)
+	return strconv.AppendUint(append(b, '\x1e'), s.rel.DataGeneration(), 10)
 }
 
 // treeBytes approximates a tree's resident size for the cache's byte bound:

@@ -169,19 +169,19 @@ func TestWarmerLifecycle(t *testing.T) {
 	if err := a.Learn(sql); err != nil {
 		t.Fatal(err)
 	}
+	// The warmer stores the tree before it counts the build, so wait for
+	// both.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, ok := a.System().Peek(q, CostBased, Options{}); ok {
+		_, cached := a.System().Peek(q, CostBased, Options{})
+		if s, ok := a.WarmerStats(); cached && ok && s.Warmed > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			s, _ := a.WarmerStats()
-			t.Fatalf("warmer never cached the learned signature: %+v", s)
+			s, ok := a.WarmerStats()
+			t.Fatalf("warmer never cached and counted the learned signature: cached=%v stats ok=%v %+v", cached, ok, s)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if s, ok := a.WarmerStats(); !ok || s.Warmed == 0 {
-		t.Fatalf("warmer stats: ok=%v %+v", ok, s)
 	}
 	a.StopWarmer()
 	if _, ok := a.WarmerStats(); ok {
